@@ -45,7 +45,6 @@ struct GateRecord {
   std::string model;
   int p = 0;
   int workers = 1;  ///< synchronization domains; 1 for schemas without the axis
-  int migrate = 0;  ///< migration interval (O2K_MIGRATE); 0 for schemas without the axis
   double wall_fibers_s = 0.0;
   double wall_threads_s = 0.0;
   double makespan_ns = 0.0;
@@ -123,8 +122,6 @@ inline std::vector<GateRecord> load_gate_baseline(const std::string& bench,
     r.p = static_cast<int>(need_number("P", v));
     if (gate_json_field(line, "workers", v))
       r.workers = static_cast<int>(need_number("workers", v));
-    if (gate_json_field(line, "migrate", v))
-      r.migrate = static_cast<int>(need_number("migrate", v));
     if (!gate_json_field(line, "wall_fibers_s", v))
       throw malformed("point line lacks the \"wall_fibers_s\" field");
     r.wall_fibers_s = need_number("wall_fibers_s", v);

@@ -40,20 +40,12 @@ void add_checkpoint_flags(std::map<std::string, std::string>& flags, const char*
 
 void add_workers_flag(std::map<std::string, std::string>& flags) {
   flags["workers"] = "host synchronization domains (default: O2K_WORKERS, else 1)";
-  flags["migrate"] =
-      "adaptive PE-to-worker migration cadence in barrier epochs, 0 = off "
-      "(default: O2K_MIGRATE, else 0)";
 }
 
 /// Resolve --workers against the simulated PE count.  The flag overrides
 /// O2K_WORKERS; rt::Machine clamps domains to the node count, but asking for
 /// more domains than PEs is a usage error worth failing fast on.
 void apply_workers(const Cli& cli, rt::Machine& machine, int p) {
-  if (cli.has("migrate")) {
-    const int n = static_cast<int>(cli.get_int("migrate", 0));
-    if (n < 0) throw CliError("--migrate expects a cadence >= 0 (0 disables migration)");
-    machine.set_migrate(n);
-  }
   if (!cli.has("workers")) return;
   const int w = static_cast<int>(cli.get_int("workers", 1));
   if (w < 1) throw CliError("--workers expects a count >= 1");

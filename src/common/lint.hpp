@@ -18,15 +18,3 @@
 #define O2K_FORK_SAFE
 #define O2K_FORK_UNSAFE
 #endif
-
-// Registers a MachineParams latency field as deliberately absent from the
-// cross_domain_lookahead_ns() minimum, with the reason why it can never be
-// the cheapest cross-domain delivery path.  o2k-lookahead-path requires
-// every `double *_ns` field of MachineParams to be either referenced in the
-// lookahead body or listed in this registry — and flags stale entries that
-// name no existing field.  Usage (namespace scope, next to the struct):
-//
-//   O2K_LOOKAHEAD_EXEMPT(local_mem_ns,
-//       "local-node DRAM latency; never crosses a domain boundary");
-#define O2K_LOOKAHEAD_EXEMPT(field, why) \
-  static_assert(sizeof(why) > 1, "O2K_LOOKAHEAD_EXEMPT needs a non-empty reason")

@@ -135,9 +135,9 @@ void FiberEngine::run(int nprocs, const std::function<void(int)>& body, const Pl
       WorkerState& ws = *wstates_[static_cast<std::size_t>(m == 1 ? 0 : affinity_[r])];
       ws.localq.push_back(fibers_[static_cast<std::size_t>(r)].get());
     }
-    // Each mailbox must hold every fiber of the run (see spsc.hpp: ranks
-    // may be re-pinned between barrier epochs, so a consumer's owned count
-    // is not an upper bound); rings are pooled across runs and only regrown.
+    // A mailbox only carries fibers pinned to its consumer; the run's rank
+    // count bounds that for every worker (see spsc.hpp).  Rings are pooled
+    // across runs and only regrown.
     for (int w = 0; w < m; ++w) {
       WorkerState& ws = *wstates_[static_cast<std::size_t>(w)];
       for (auto& ring : ws.inbox)
@@ -238,22 +238,13 @@ void FiberEngine::worker_loop_pinned(int wid) {
       f->home = &w.ctx;
       ctx_swap_to(w.ctx, f->ctx, f, f->stack.get());
       if (f->reason == Fiber::kDone) {
-        // Completion is global (a migrated fiber finishes away from its
-        // seed worker); the last finisher pokes every other worker so
-        // none sleeps through the end of the run.
+        // Completion is counted run-wide; the last finisher pokes every
+        // other worker so none sleeps through the end of the run.
         if (pinned_done_.fetch_add(1, std::memory_order_acq_rel) + 1 == live_) {
           for (int o = 0; o < workers_used_; ++o) {
             if (o != wid) notify_worker(*wstates_[static_cast<std::size_t>(o)]);
           }
         }
-        break;
-      }
-      if (f->reason == Fiber::kYield) {
-        // The fiber asked to move home: a remap changed its worker while
-        // it was running (it was the barrier releaser).  Re-route it by
-        // the updated affinity table; it stays kActive throughout, so no
-        // waker can double-enqueue it.
-        deliver(f);
         break;
       }
       // Same park/reclaim protocol as shared mode (see worker_loop).
@@ -354,18 +345,6 @@ void FiberEngine::wake(int rank) {
 
 void FiberEngine::wake_all() {
   for (int r = 0; r < live_; ++r) wake(r);
-}
-
-bool FiberEngine::yield_if_misplaced(int rank) {
-  if (!pinned_ || workers_used_ <= 1 || affinity_ == nullptr) return false;
-  const TlsWorker t = tls_worker;
-  if (t.eng != this) return false;
-  if (affinity_[rank] == t.wid) return false;
-  Fiber* f = fibers_[static_cast<std::size_t>(rank)].get();
-  f->reason = Fiber::kYield;
-  ctx_swap_to(f->ctx, *f->home, nullptr, nullptr);
-  // Resumed on the new home worker.
-  return true;
 }
 
 int FiberEngine::current_worker() const {

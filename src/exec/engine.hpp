@@ -40,10 +40,9 @@
 // the epoch early enough that the worker's re-check sees it.  The CAS
 // claim makes the resume exactly-once under concurrent wakers — which is
 // also why the SPSC mailboxes can never overflow: a fiber is in flight
-// through at most one queue at a time, so each ring sized to the run's
-// rank count always has room (rank count rather than the consumer's
-// owned-fiber count because rt::Remapper may re-pin ranks between
-// barrier epochs).
+// through at most one queue at a time, and a ring only ever carries fibers
+// pinned to its consumer, so each ring sized to the run's rank count (an
+// upper bound on any worker's owned fibers) always has room.
 //
 // None of this carries timing information: a wake only means "re-evaluate
 // your predicate".  Virtual time is computed from the cost model alone, so
@@ -123,15 +122,6 @@ class FiberEngine {
   /// Number of host workers the last/current run uses.
   [[nodiscard]] int workers() const { return workers_used_; }
 
-  /// Pinned mode: if the calling fiber (`rank`'s own) is executing on a
-  /// worker other than `affinity[rank]` — which happens exactly when a
-  /// remap changed its assignment while it was the running fiber — yield
-  /// back to the worker loop so the fiber is re-delivered to its new home
-  /// worker.  Returns true if a yield happened (the call returns only once
-  /// the fiber is resumed on the right worker).  No-op in shared mode, at
-  /// one worker, or when the fiber is already home.
-  bool yield_if_misplaced(int rank);
-
   /// Worker id of the calling host thread within this engine's pinned
   /// pool, or -1 when the caller is not a pool worker of this engine.
   /// Identifies the producer side for domain-local lock-free structures.
@@ -148,7 +138,7 @@ class FiberEngine {
  private:
   struct Fiber {
     enum Status : int { kActive = 0, kParked = 1 };
-    enum Reason : int { kPark = 0, kDone = 1, kYield = 2 };
+    enum Reason : int { kPark = 0, kDone = 1 };
 
     RawContext ctx;             ///< fiber state while suspended
     RawContext* home = nullptr; ///< worker context to switch back to
@@ -164,9 +154,9 @@ class FiberEngine {
   /// Pinned-mode per-worker state.  `localq` and the inbox consumer
   /// cursors are owner-only; producers touch the inbox producer cursors,
   /// the overflow queue (under its mutex) and the sleep eventcount.
-  /// Fiber completion is tracked globally (`pinned_done_`) rather than
-  /// per worker: a migrated fiber may finish on a worker other than the
-  /// one it was seeded on.
+  /// Fiber completion is tracked by one run-wide counter (`pinned_done_`):
+  /// every worker loops until the whole run is done, so the last finisher,
+  /// on whichever worker, is what ends every loop.
   struct WorkerState {
     RawContext ctx;
     std::deque<Fiber*> localq;

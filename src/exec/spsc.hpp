@@ -4,10 +4,9 @@
 // host workers through one of these per (producer worker, consumer worker)
 // pair, so the cross-domain wake hot path is two atomic ops and no lock.
 // Capacity is a power of two fixed at init; the engine sizes each ring to
-// the run's rank count (a fiber may migrate between workers at barrier
-// epochs, so every ring must be able to hold every fiber), and the
-// park/wake CAS claim guarantees a fiber is in flight through at most one
-// mailbox at a time — so a push can never find the ring full (enforced
+// the run's rank count, which bounds the fibers pinned to any consumer, and
+// the park/wake CAS claim guarantees a fiber is in flight through at most
+// one mailbox at a time — so a push can never find the ring full (enforced
 // with O2K_CHECK rather than a resize path).
 //
 // SpscChannel: an unbounded linked-list variant for payload-bearing lanes
@@ -77,8 +76,7 @@ class SpscRing {
 ///
 /// The *consumer* may be a fiber rather than a host thread: single-consumer
 /// only requires that at most one execution context pops at a time, which a
-/// fiber satisfies even when it migrates between host workers (it runs in
-/// exactly one place, and migration happens only at quiescent barriers).
+/// fiber satisfies (it runs in exactly one place at a time).
 template <typename T>
 class SpscChannel {
  public:

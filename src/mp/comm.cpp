@@ -108,10 +108,7 @@ void World::bind_run(rt::Pe& pe) {
   std::scoped_lock lk(bind_mu_);
   const bool want_sharded = pe.domain_serial();
   const int want_workers = want_sharded ? pe.domains() : 0;
-  if (sharded_ == want_sharded && shard_workers_ == want_workers) {
-    if (sharded_) pe.add_remap_hook(&World::remap_drain, this);
-    return;
-  }
+  if (sharded_ == want_sharded && shard_workers_ == want_workers) return;
   if (sharded_) {
     // Leaving sharded mode (World reused by a differently-shaped run):
     // fold everything back into the locked boxes.
@@ -146,7 +143,6 @@ void World::bind_run(rt::Pe& pe) {
       }
     }
     sharded_ = true;
-    pe.add_remap_hook(&World::remap_drain, this);
   }
 }
 
@@ -160,12 +156,6 @@ void World::drain_all_channels() {
   }
 }
 
-void World::remap_drain(void* world) {
-  // Barrier quiescence, releasing PE: no producer or consumer is live, so
-  // popping every channel here is the "single consumer at a time" case.
-  static_cast<World*>(world)->drain_all_channels();
-}
-
 Comm::Comm(World& world, rt::Pe& pe) : world_(world), pe_(pe) {
   O2K_REQUIRE(world.size() == pe.size(),
               "mp::World size must match the Machine::run processor count");
@@ -176,10 +166,8 @@ void Comm::enqueue_msg(int dst, detail::Message&& m) {
   World& w = world_;
   if (w.sharded_) {
     // The owner worker of dst's queue is its domain (pinned mode: domain d
-    // == worker d).  Checking the *host* worker rather than this PE's
-    // domain keeps the fast path sound even in the one window where a
-    // fiber can run off its home worker (the barrier releaser between a
-    // remap and its yield home).
+    // == worker d); the calling worker's id doubles as the producer index
+    // of the cross-domain channel.
     const int owner = pe_.domain_of(dst);
     if (pe_.host_worker() == owner) {
       // Intra-domain delivery: single host thread owns both endpoints — a
@@ -218,17 +206,9 @@ void Comm::send_bytes(std::span<const std::byte> data, int dst, int tag) {
     return;
   }
 
-  const double entry_ns = pe_.now();
   if (bytes <= P.mp_eager_bytes) {
     pe_.advance(P.mp_o_send_ns + static_cast<double>(bytes) / P.mp_bw_bytes_per_ns);
     m.arrival_ns = pe_.now() + P.wire_ns(rank(), dst);
-    // Conservative-lookahead invariant (DESIGN.md §11): a message into
-    // another synchronization domain (≥1 router hop plus the send
-    // overhead) can never arrive under the lookahead bound — this is what
-    // lets domains advance virtual time independently between barriers.
-    O2K_CHECK(pe_.domain_of(dst) == pe_.domain() ||
-                  m.arrival_ns >= entry_ns + P.cross_domain_lookahead_ns(),
-              "mp: cross-domain eager message under the lookahead bound");
     enqueue_msg(dst, std::move(m));
     return;
   }
@@ -238,9 +218,6 @@ void Comm::send_bytes(std::span<const std::byte> data, int dst, int tag) {
   auto rdv = std::make_shared<detail::RdvState>();
   m.rdv = rdv;
   m.rts_arrival_ns = pe_.now() + P.wire_ns(rank(), dst);
-  O2K_CHECK(pe_.domain_of(dst) == pe_.domain() ||
-                m.rts_arrival_ns >= entry_ns + P.cross_domain_lookahead_ns(),
-            "mp: cross-domain RTS under the lookahead bound");
   enqueue_msg(dst, std::move(m));
 
   pe_.park_until([&] { return rdv->done.load(std::memory_order_acquire); });
@@ -265,14 +242,9 @@ void Comm::post_bytes(std::span<const std::byte> data, int dst, int tag) {
   } else {
     // Buffered eager regardless of size: one extra local copy into the
     // send buffer, then the wire transfer proceeds without the sender.
-    const double entry_ns = pe_.now();
     pe_.advance(P.mp_o_send_ns + P.memcpy_ns(bytes));
     m.arrival_ns = pe_.now() + P.wire_ns(rank(), dst) +
                    static_cast<double>(bytes) / P.mp_bw_bytes_per_ns;
-    // See send_bytes: the conservative-lookahead invariant of DESIGN.md §11.
-    O2K_CHECK(pe_.domain_of(dst) == pe_.domain() ||
-                  m.arrival_ns >= entry_ns + P.cross_domain_lookahead_ns(),
-              "mp: cross-domain posted message under the lookahead bound");
   }
   enqueue_msg(dst, std::move(m));
 }
@@ -307,11 +279,10 @@ std::vector<std::byte> Comm::recv_bytes(int src, int tag) {
   if (world_.sharded_) {
     // Domain-serial fast path: this fiber's host worker is the sole
     // consumer of lb_[rank] and of every channel(rank, *) — no locks.
-    // Draining channels in fixed producer order before each scan keeps
-    // the scan order a pure function of message arrival order: between
-    // remaps a given src's messages ride exactly one route (direct push
-    // or one producer channel), and remap drains at quiescence, so
-    // per-src FIFO — all the matching semantics depend on — holds.
+    // A given src's messages always ride exactly one route (direct push or
+    // its worker's channel), so draining channels in fixed producer order
+    // before each scan keeps per-src FIFO — all the matching semantics
+    // depend on.
     auto& q = world_.lb_[static_cast<std::size_t>(rank())].q;
     pe_.park_until([&] {
       detail::Message in;
@@ -363,7 +334,7 @@ void Comm::wait(Request& r) {
   if (r.kind_ != Request::Kind::kRecv) return;
   auto raw = recv_bytes(r.src_, r.tag_);
   O2K_REQUIRE(raw.size() == r.out_bytes_, "mp: irecv buffer size mismatch");
-  std::memcpy(r.out_, raw.data(), raw.size());
+  copy_bytes(r.out_, raw.data(), raw.size());
   r.kind_ = Request::Kind::kDone;
   if (r.sid_ != 0) {
     if (auto* s = sanitize::active()) s->mp_wait_done(r.sid_);
@@ -387,14 +358,6 @@ void Comm::barrier() {
     post_bytes({}, dst, tag);
     (void)recv_bytes(src, tag);
   }
-  // A dissemination barrier synchronises virtual time with point-to-point
-  // messages and never reaches Pe::barrier — the machine-level quiescent
-  // point where migration rounds fire.  Give migration its own clock-neutral
-  // host rendezvous here (a single pointer check when migration is off).
-  // Placing it after the last round is safe: every rank has entered the
-  // barrier by now and all release messages are already posted, so no rank
-  // still draining them depends on a parked PE running further.
-  pe_.migration_rendezvous();
 }
 
 void Comm::bcast_bytes(std::span<std::byte> data, int root, int tag) {
@@ -409,7 +372,7 @@ void Comm::bcast_bytes(std::span<std::byte> data, int root, int tag) {
       const int parent = ((rel & ~mask) + root) % p;
       auto raw = recv_bytes(parent, tag);
       O2K_REQUIRE(raw.size() == data.size(), "mp: bcast size mismatch across ranks");
-      std::memcpy(data.data(), raw.data(), raw.size());
+      copy_bytes(data.data(), raw.data(), raw.size());
       break;
     }
     mask <<= 1;

@@ -23,7 +23,6 @@
 #pragma once
 
 #include <atomic>
-#include <cstring>
 #include <deque>
 #include <memory>
 #include <mutex>
@@ -32,6 +31,7 @@
 #include <type_traits>
 #include <vector>
 
+#include "common/bytes.hpp"
 #include "common/check.hpp"
 #include "exec/spsc.hpp"
 #include "rt/machine.hpp"
@@ -104,10 +104,7 @@ struct alignas(64) LocalBox {
 ///     plus one unbounded SPSC payload channel per (rank, producer worker)
 ///     for cross-domain deliveries.  Intra-domain send/recv touches no
 ///     mutex at all; matching order is per-(source) FIFO either way, so
-///     virtual times are bit-identical across representations.  When
-///     migration is enabled, the World registers a remap hook that drains
-///     every channel at barrier quiescence before the map changes, so
-///     per-source FIFO survives a producer's worker identity changing.
+///     virtual times are bit-identical across representations.
 class World {
  public:
   World(const origin::MachineParams& params, int nprocs);
@@ -134,11 +131,10 @@ class World {
   /// queued messages between representations so reuse across runs with
   /// different worker counts stays sound.
   void bind_run(rt::Pe& pe);
-  /// Remap hook: at barrier quiescence, move every channel's messages into
-  /// the destination rank's LocalBox (fixed rank-major/producer-minor
-  /// order; per-source FIFO is preserved because a source's messages sit in
-  /// at most one channel between remaps).
-  static void remap_drain(void* world);
+  /// Move every channel's messages into the destination rank's LocalBox
+  /// (fixed rank-major/producer-minor order; per-source FIFO is preserved
+  /// because a source's messages sit in at most one channel).  Used when a
+  /// World leaves sharded mode between runs.
   void drain_all_channels();
   [[nodiscard]] exec::SpscChannel<detail::Message>& channel(int rank, int producer_worker) {
     return *chan_[static_cast<std::size_t>(rank) * static_cast<std::size_t>(shard_workers_) +
@@ -210,14 +206,14 @@ class Comm {
     auto raw = recv_bytes(src, tag);
     O2K_CHECK(raw.size() % sizeof(T) == 0, "mp: message size not a multiple of element size");
     std::vector<T> out(raw.size() / sizeof(T));
-    std::memcpy(out.data(), raw.data(), raw.size());
+    copy_bytes(out.data(), raw.data(), raw.size());
     return out;
   }
   template <typename T>
   void recv(std::span<T> out, int src, int tag) {
     auto raw = recv_bytes(src, tag);
     O2K_REQUIRE(raw.size() == out.size_bytes(), "mp: recv buffer size mismatch");
-    std::memcpy(out.data(), raw.data(), raw.size());
+    copy_bytes(out.data(), raw.data(), raw.size());
   }
   template <typename T>
   T recv_value(int src, int tag) {
@@ -277,23 +273,12 @@ class Comm {
   void allreduce_sum(std::span<T> v) {
     reduce_apply<T>(v, [](T& a, const T& b) { a += b; });
     bcast(v, 0);
-    // Migration rendezvous discipline for MP collectives: only the
-    // *synchronizing* collectives — those where no rank can exit before
-    // every rank has entered (allreduce, allgather, allgatherv, alltoallv,
-    // barrier) — may host the clock-neutral remap rendezvous.  At their
-    // exit every in-collective message is already posted, so ranks still
-    // draining them never depend on a parked PE.  Non-synchronizing
-    // collectives (bcast, gather, scatterv: a leaf or root can exit before
-    // others enter) must NOT call it — a full-team park there would
-    // deadlock legal request/reply traffic interleaved with the tree.
-    pe_.migration_rendezvous();
   }
   template <typename T>
   T allreduce_max(T v) {
     std::span<T> s(&v, 1);
     reduce_apply<T>(s, [](T& a, const T& b) { if (b > a) a = b; });
     bcast(s, 0);
-    pe_.migration_rendezvous();  // synchronizing collective (see allreduce_sum)
     return v;
   }
   template <typename T>
@@ -301,7 +286,6 @@ class Comm {
     std::span<T> s(&v, 1);
     reduce_apply<T>(s, [](T& a, const T& b) { if (b < a) a = b; });
     bcast(s, 0);
-    pe_.migration_rendezvous();  // synchronizing collective (see allreduce_sum)
     return v;
   }
 
@@ -330,7 +314,6 @@ class Comm {
     n = bcast_value(n, 0);
     out.resize(n);
     bcast(std::span<T>(out), 0);
-    pe_.migration_rendezvous();  // synchronizing collective (see allreduce_sum)
     return out;
   }
 
@@ -359,7 +342,6 @@ class Comm {
     }
     std::vector<T> out;
     for (const auto& b : blocks) out.insert(out.end(), b.begin(), b.end());
-    pe_.migration_rendezvous();  // synchronizing collective (see allreduce_sum)
     return out;
   }
 
@@ -388,7 +370,6 @@ class Comm {
         send(std::span<const T>(sendbufs[static_cast<std::size_t>(dst)]), dst, tag);
       }
     }
-    pe_.migration_rendezvous();  // synchronizing collective (see allreduce_sum)
     return out;
   }
 

@@ -1,6 +1,5 @@
 #include "origin/params.hpp"
 
-#include <algorithm>
 #include <bit>
 #include <cmath>
 
@@ -34,19 +33,6 @@ int MachineParams::max_hops(int pes) const {
   if (nodes <= 1) return 0;
   // Hypercube dimension = ceil(log2(nodes)); the diameter equals it.
   return static_cast<int>(std::ceil(std::log2(static_cast<double>(nodes))));
-}
-
-double MachineParams::cross_domain_lookahead_ns() const {
-  // Candidate minimum charges for one cross-node interaction, each with at
-  // least one router hop each way or one hop plus initiation overhead:
-  //   * CC-SAS remote read premium at hops=1: 2 * router_hop_ns
-  //   * SHMEM put/get initiation + one hop:   shmem_o_ns + router_hop_ns
-  //   * MP send overhead + one hop:           mp_o_send_ns + router_hop_ns
-  // With the reference parameters the remote read round trip (202 ns) wins.
-  double la = 2.0 * router_hop_ns;
-  la = std::min(la, shmem_o_ns + router_hop_ns);
-  la = std::min(la, mp_o_send_ns + router_hop_ns);
-  return la;
 }
 
 double MachineParams::tree_barrier_ns(int pes, double per_stage_ns) {

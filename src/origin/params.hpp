@@ -18,8 +18,6 @@
 #include <cstddef>
 #include <cstdint>
 
-#include "common/lint.hpp"
-
 namespace o2k::origin {
 
 struct MachineParams {
@@ -117,43 +115,7 @@ struct MachineParams {
 
   /// Tree-barrier cost at `pes` processors with the given per-stage cost.
   [[nodiscard]] static double tree_barrier_ns(int pes, double per_stage_ns);
-
-  /// Conservative cross-domain lookahead: the smallest virtual-time charge
-  /// any interaction between PEs on *different nodes* can carry under this
-  /// cost model.  Synchronization domains (rt::DomainMap) never split a
-  /// node, so this lower-bounds every cross-domain event: the cheapest is a
-  /// CC-SAS remote read miss one hop away (request + reply router
-  /// traversals); SHMEM puts/gets/atomics and MP sends stack software
-  /// overheads on top, and an ownership transfer adds ownership_extra_ns to
-  /// a miss that already paid the round trip.  The parallel virtual-time
-  /// core relies on this bound to let domains advance independently between
-  /// barriers (DESIGN.md §11).
-  [[nodiscard]] double cross_domain_lookahead_ns() const;
 };
-
-// Lookahead registry (o2k-lint: o2k-lookahead-path).  Every `double *_ns`
-// latency field of MachineParams must either appear in the
-// cross_domain_lookahead_ns() minimum or be listed here with the reason it
-// can never be the cheapest cross-domain charge.  Adding a latency field
-// without doing one or the other is a lint error — by design, because a
-// forgotten cheaper path silently breaks conservative delivery.
-O2K_LOOKAHEAD_EXEMPT(local_mem_ns,
-    "local-node DRAM restart latency: never charged on a cross-node interaction");
-O2K_LOOKAHEAD_EXEMPT(ownership_extra_ns,
-    "additive premium on a miss that already paid the 2*hop round trip in the min");
-O2K_LOOKAHEAD_EXEMPT(mp_o_recv_ns,
-    "receive-side overhead stacks on top of mp_o_send_ns + wire, which is in the min");
-O2K_LOOKAHEAD_EXEMPT(mp_rendezvous_extra_ns,
-    "RTS/CTS handshake is additive over the eager send path already in the min");
-O2K_LOOKAHEAD_EXEMPT(shmem_atomic_ns,
-    "remote fetch-op round trip (1600) exceeds the shmem_o_ns + hop path in the min");
-O2K_LOOKAHEAD_EXEMPT(shmem_barrier_base_ns,
-    "barriers rendezvous all domains; delivery happens at the re-aligned release time");
-O2K_LOOKAHEAD_EXEMPT(sas_barrier_base_ns,
-    "barriers rendezvous all domains; delivery happens at the re-aligned release time");
-O2K_LOOKAHEAD_EXEMPT(sas_lock_ns,
-    "locks serialise through their home line: the 2*hop remote-miss charge in the min "
-    "is paid before any cross-node lock hand-off is visible");
 
 /// Per-kernel computation constants (simulated ns of work per unit).
 /// These fold in average *local* memory behaviour so that the explicit

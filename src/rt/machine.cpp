@@ -24,8 +24,6 @@ void Pe::throw_if_aborted() const {
   if (aborted()) throw AbortError{};
 }
 
-int Pe::domain() const { return machine_->domain_map_.domain_of(rank_); }
-
 int Pe::domain_of(int rank) const { return machine_->domain_map_.domain_of(rank); }
 
 bool Pe::domain_serial() const { return machine_->domain_serial(); }
@@ -44,107 +42,58 @@ void Pe::barrier(double cost_ns) {
     if (sink_) sink_->on_barrier(rank_, entry_ns, clock_);
     return;
   }
+  // Two-stage arrive/release (see BarrierState::Stage); a one-domain run
+  // is the same combine with a single stage.  The happens-before chain for
+  // pre-barrier writes reaches the releasing PE: writer -> stage mutex ->
+  // domain-last PE -> root mutex -> releaser.
+  //
+  // `my_gen` is loaded before registering arrival: the generation cannot
+  // bump until *this* PE's arrival is counted, so the pre-arrival load is
+  // never stale.
   auto& b = *machine_->barrier_;
   const DomainMap& dm = machine_->domain_map_;
-  if (dm.domains() > 1) {
-    // Domain-staged arrive/release (see BarrierState::Stage).  The
-    // happens-before chain for pre-barrier writes still reaches the
-    // releasing PE: writer -> stage mutex -> domain-last PE -> root mutex
-    // -> releaser; and release_time stays readable without the mutex for
-    // the same reason as the flat path (no overwrite until every waiter of
-    // this generation re-entered the barrier).
-    //
-    // `my_gen` is loaded before registering arrival: the generation cannot
-    // bump until *this* PE's arrival is counted, so the pre-arrival load
-    // is never stale.
-    const std::uint64_t my_gen = b.generation.load(std::memory_order_seq_cst);
-    const int d = dm.domain_of(rank_);
-    auto& st = *b.stages[static_cast<std::size_t>(d)];
-    bool domain_last = false;
-    double dom_clock = 0.0;
-    double dom_cost = 0.0;
-    {
-      std::scoped_lock slk(st.mu);
-      st.max_clock = std::max(st.max_clock, clock_);
-      st.max_cost = std::max(st.max_cost, cost_ns);
-      if (++st.waiting == dm.owned(d)) {
-        domain_last = true;
-        dom_clock = st.max_clock;
-        dom_cost = st.max_cost;
-        st.waiting = 0;
-        st.max_clock = 0.0;
-        st.max_cost = 0.0;
-      }
+  const std::uint64_t my_gen = b.generation.load(std::memory_order_seq_cst);
+  const int d = dm.domain_of(rank_);
+  auto& st = *b.stages[static_cast<std::size_t>(d)];
+  bool domain_last = false;
+  double dom_clock = 0.0;
+  double dom_cost = 0.0;
+  {
+    std::scoped_lock slk(st.mu);
+    st.max_clock = std::max(st.max_clock, clock_);
+    st.max_cost = std::max(st.max_cost, cost_ns);
+    if (++st.waiting == dm.owned(d)) {
+      domain_last = true;
+      dom_clock = st.max_clock;
+      dom_cost = st.max_cost;
+      st.waiting = 0;
+      st.max_clock = 0.0;
+      st.max_cost = 0.0;
     }
-    if (domain_last) {
-      std::unique_lock rlk(b.mu);
-      b.max_clock = std::max(b.max_clock, dom_clock);
-      b.max_cost = std::max(b.max_cost, dom_cost);
-      // Arrivals are counted over *populated* domains: migration may leave
-      // a domain with no ranks, and its stage then never produces a
-      // domain-last PE.  active_domains() only changes inside maybe_remap,
-      // i.e. under this same mutex at quiescence, so the count is stable
-      // across one round.
-      if (++b.waiting == dm.active_domains()) {
-        const double release = b.max_clock + b.max_cost;
-        b.release_time = release;
-        b.waiting = 0;
-        b.max_clock = 0.0;
-        b.max_cost = 0.0;
-        // Every PE of every domain has arrived (writes published through
-        // the stage/root mutex chain); commit hooks run here, before any
-        // waiter can resume.
-        machine_->run_barrier_hooks();
-        // Migration rounds piggyback on the same quiescent point: drain
-        // cross-worker channels, then re-home nodes.  Host placement only —
-        // `release` was already computed, and no clock ever reads the map.
-        machine_->maybe_remap();
-        b.generation.store(my_gen + 1, std::memory_order_release);
-        rlk.unlock();
-        // If the remap moved *this* PE's node, hop to the new home worker
-        // before resuming simulated work (every other PE is still parked
-        // and will be routed by the updated affinity on wake).
-        machine_->yield_home(rank_);
-        wake_all();
-        clock_ = std::max(clock_, release);
-        if (sink_) sink_->on_barrier(rank_, entry_ns, clock_);
-        return;
-      }
+  }
+  if (domain_last) {
+    std::unique_lock rlk(b.mu);
+    b.max_clock = std::max(b.max_clock, dom_clock);
+    b.max_cost = std::max(b.max_cost, dom_cost);
+    if (++b.waiting == dm.domains()) {
+      const double release = b.max_clock + b.max_cost;
+      b.release_time = release;
+      b.waiting = 0;
+      b.max_clock = 0.0;
+      b.max_cost = 0.0;
+      // Every PE of every domain has arrived (writes published through the
+      // stage/root mutex chain); commit hooks run here, before any waiter
+      // can resume.
+      machine_->run_barrier_hooks();
+      // Publishes release_time: waiters acquire-load the bumped generation.
+      b.generation.store(my_gen + 1, std::memory_order_release);
       rlk.unlock();
+      wake_all();
+      clock_ = std::max(clock_, release);
+      if (sink_) sink_->on_barrier(rank_, entry_ns, clock_);
+      return;
     }
-    park_until(
-        [&] { return b.generation.load(std::memory_order_acquire) != my_gen; });
-    // A waiter whose first predicate check already saw the bumped
-    // generation never parked, so the engine's affinity-routed wake never
-    // ran for it — if this round remapped its node, hop to the new home
-    // worker before resuming simulated work on lock-free shards.
-    machine_->yield_home(rank_);
-    clock_ = std::max(clock_, b.release_time);
-    if (sink_) sink_->on_barrier(rank_, entry_ns, clock_);
-    return;
   }
-  std::unique_lock lk(b.mu);
-  const std::uint64_t my_gen = b.generation.load(std::memory_order_relaxed);
-  b.max_clock = std::max(b.max_clock, clock_);
-  b.max_cost = std::max(b.max_cost, cost_ns);
-  if (++b.waiting == nprocs_) {
-    const double release = b.max_clock + b.max_cost;
-    b.release_time = release;
-    b.waiting = 0;
-    b.max_clock = 0.0;
-    b.max_cost = 0.0;
-    // Every other PE has arrived (its pre-barrier writes are published via
-    // b.mu); commit hooks run here, before any waiter can resume.
-    machine_->run_barrier_hooks();
-    // Publishes release_time: waiters acquire-load the bumped generation.
-    b.generation.store(my_gen + 1, std::memory_order_release);
-    lk.unlock();
-    wake_all();
-    clock_ = std::max(clock_, release);
-    if (sink_) sink_->on_barrier(rank_, entry_ns, clock_);
-    return;
-  }
-  lk.unlock();
   park_until(
       [&] { return b.generation.load(std::memory_order_acquire) != my_gen; });
   // Safe without b.mu: release_time cannot be overwritten until every
@@ -154,8 +103,6 @@ void Pe::barrier(double cost_ns) {
 }
 
 void Pe::add_barrier_hook(BarrierHookFn fn, void* ctx) { machine_->add_barrier_hook(fn, ctx); }
-
-void Pe::add_remap_hook(BarrierHookFn fn, void* ctx) { machine_->add_remap_hook(fn, ctx); }
 
 void Pe::checkpoint(const char* label) { machine_->checkpoint_point(*this, label); }
 
@@ -222,74 +169,6 @@ void Machine::add_barrier_hook(BarrierHookFn fn, void* ctx) {
 void Machine::run_barrier_hooks() {
   std::scoped_lock lk(hooks_mu_);
   for (const auto& [fn, ctx] : barrier_hooks_) fn(ctx);
-}
-
-void Machine::add_remap_hook(BarrierHookFn fn, void* ctx) {
-  std::scoped_lock lk(hooks_mu_);
-  for (const auto& [f, c] : remap_hooks_)
-    if (f == fn && c == ctx) return;
-  remap_hooks_.emplace_back(fn, ctx);
-}
-
-void Machine::run_remap_hooks() {
-  std::scoped_lock lk(hooks_mu_);
-  for (const auto& [fn, ctx] : remap_hooks_) fn(ctx);
-}
-
-int Machine::resolve_migrate() const {
-  if (migrate_override_) {
-    const int n = *migrate_override_;
-    O2K_REQUIRE(n >= 0, "migration interval must be >= 0 (0 = off)");
-    return n;
-  }
-  return static_cast<int>(common::env_int_or("O2K_MIGRATE", /*fallback=*/0,
-                                             /*min=*/0, /*max=*/1 << 20));
-}
-
-void Machine::maybe_remap() {
-  if (remapper_ == nullptr) return;
-  if (!remapper_->due_this_round()) return;
-  // Quiescent: every other PE is parked in this barrier.  Drain the
-  // runtimes' cross-worker payload channels first — after the map changes,
-  // a producer's worker identity changes with it, and per-source FIFO
-  // only survives if nothing is left in flight under the old identities.
-  run_remap_hooks();
-  remapper_->apply(domain_map_);
-}
-
-void Machine::yield_home(int rank) {
-  if (remapper_ != nullptr && engine_ != nullptr) engine_->yield_if_misplaced(rank);
-}
-
-void Pe::migration_rendezvous() { machine_->migration_rendezvous(*this); }
-
-void Machine::migration_rendezvous(Pe& pe) {
-  if (remapper_ == nullptr || run_nprocs_ <= 1) return;
-  RendezvousState& rv = *rendezvous_;
-  std::unique_lock lk(rv.mu);
-  // Loaded before the arrival is counted: the generation cannot bump until
-  // this PE's increment lands, so the pre-arrival load is never stale.
-  const std::uint64_t my_gen = rv.generation.load(std::memory_order_relaxed);
-  if (++rv.waiting == run_nprocs_) {
-    rv.waiting = 0;
-    // Quiescent: every other PE of the run is parked in this rendezvous (or
-    // about to park on a predicate that touches only `generation`).  Same
-    // remap protocol as the barrier release path — drain hooks, then move
-    // nodes — but with no clock to publish.
-    maybe_remap();
-    rv.generation.store(my_gen + 1, std::memory_order_release);
-    lk.unlock();
-    yield_home(pe.rank());
-    wake_all_slots();
-    return;
-  }
-  lk.unlock();
-  pe.park_until(
-      [&] { return rv.generation.load(std::memory_order_acquire) != my_gen; });
-  // A waiter that found the generation already bumped never went through
-  // the engine's wake routing — hop to the (possibly new) home worker
-  // before touching any domain-serial structure.
-  yield_home(pe.rank());
 }
 
 void Machine::arm_checkpoint(std::string label, int occurrence, CheckpointFn fn) {
@@ -395,39 +274,17 @@ RunResult Machine::run(int nprocs, const std::function<void(Pe&)>& body) {
               "requested more PEs than the modelled machine has");
 
   // Partition the run into synchronization domains (DESIGN.md §11).  The
-  // map only affects host scheduling (worker pinning, barrier staging) —
-  // every virtual-time value is derived from published virtual state, so
-  // any domain count yields bit-identical results.
+  // map is fixed for the whole run and only affects host scheduling
+  // (worker pinning, barrier staging) — every virtual-time value is derived
+  // from published virtual state, so any domain count yields bit-identical
+  // results.
   domain_map_ = DomainMap(nprocs, resolve_workers(nprocs), params_.pes_per_node);
   run_workers_ = domain_map_.domains();
 
-  // Adaptive migration (rt::Remapper) needs the domain-serial substrate:
-  // pinned fibers with more than one domain.  Everywhere else the interval
-  // is accepted but inert, so `O2K_MIGRATE=1` is always safe to export.
-  run_migrate_ = resolve_migrate();
-  remapper_.reset();
-  if (run_migrate_ > 0 && run_workers_ > 1 && nprocs > 1 &&
-      exec_backend() == ExecBackend::kFibers) {
-#if defined(O2K_BOUNDED_WAITS)
-    // The bounded-waits debug fallback re-reads the affinity table from
-    // timed-out workers at arbitrary points, which would race with a
-    // quiescent remap; migration stays off in that build.
-    static std::atomic<bool> warned_bw{false};
-    if (!warned_bw.exchange(true)) {
-      std::fprintf(stderr, "o2k: O2K_MIGRATE ignored in an O2K_BOUNDED_WAITS build\n");
-    }
-#else
-    remapper_ = std::make_unique<Remapper>(nprocs, params_.pes_per_node, run_migrate_);
-#endif
-  }
-
   barrier_ = std::make_unique<BarrierState>();
-  rendezvous_ = std::make_unique<RendezvousState>();
-  if (run_workers_ > 1) {
-    barrier_->stages.reserve(static_cast<std::size_t>(run_workers_));
-    for (int d = 0; d < run_workers_; ++d)
-      barrier_->stages.push_back(std::make_unique<BarrierState::Stage>());
-  }
+  barrier_->stages.reserve(static_cast<std::size_t>(run_workers_));
+  for (int d = 0; d < run_workers_; ++d)
+    barrier_->stages.push_back(std::make_unique<BarrierState::Stage>());
   checkpoint_ = std::make_unique<CheckpointState>();
   cp_seen_ = 0;
   cp_fired_.store(false, std::memory_order_relaxed);
@@ -439,7 +296,6 @@ RunResult Machine::run(int nprocs, const std::function<void(Pe&)>& body) {
   {
     std::scoped_lock lk(hooks_mu_);
     barrier_hooks_.clear();
-    remap_hooks_.clear();
   }
 
   pes_.clear();
@@ -447,7 +303,6 @@ RunResult Machine::run(int nprocs, const std::function<void(Pe&)>& body) {
   for (int r = 0; r < nprocs; ++r) {
     pes_.emplace_back(std::unique_ptr<Pe>(new Pe(r, nprocs, &params_, this)));
     pes_.back()->sink_ = sink_;
-    pes_.back()->remap_ = remapper_.get();
   }
 
   if (nprocs == 1) {

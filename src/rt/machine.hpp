@@ -44,12 +44,12 @@
 #include <string>
 #include <vector>
 
+#include "common/lint.hpp"
 #include "exec/engine.hpp"
 #include "metrics/sink.hpp"
 #include "origin/params.hpp"
 #include "rt/domain.hpp"
 #include "rt/phase.hpp"
-#include "rt/remap.hpp"
 
 namespace o2k::rt {
 
@@ -140,12 +140,9 @@ class Pe {
   /// per-PE epoch counter analysis layers can use to order accesses.
   [[nodiscard]] std::uint64_t barrier_epochs() const { return barrier_epochs_; }
 
-  /// Synchronization domain of this PE / of `rank` under the current run's
-  /// DomainMap (always 0 at O2K_WORKERS=1).  Model runtimes use this to
-  /// recognise cross-domain traffic, e.g. for the conservative-lookahead
-  /// invariant checks in mp/shmem.  With migration enabled the answer can
-  /// change across barrier epochs (host placement only — never a cost).
-  [[nodiscard]] int domain() const;
+  /// Synchronization domain of `rank` under the current run's DomainMap
+  /// (always 0 at O2K_WORKERS=1).  mp::World uses this to route a message
+  /// to the worker that owns the destination's mailbox shard.
   [[nodiscard]] int domain_of(int rank) const;
 
   /// True when the run executes domain-serially: pinned fiber mode, where
@@ -176,16 +173,12 @@ class Pe {
   [[nodiscard]] bool tracing() const { return sink_ != nullptr; }
   /// A transfer this PE initiates towards `dst` (canonical comm-matrix
   /// observation: me -> dst).  Pass `in_matrix=false` for control traffic
-  /// (signals, ...) that no byte counter accounts for.  Canonical matrix
-  /// observations also feed the migration byte counters when a Remapper is
-  /// active — same accounting, observer-only either way.
+  /// (signals, ...) that no byte counter accounts for.
   void trace_send(int dst, std::size_t bytes, bool in_matrix = true) {
-    if (remap_ && in_matrix) remap_->note(rank_, dst, static_cast<std::uint64_t>(bytes));
     if (sink_) sink_->on_message(rank_, rank_, dst, bytes, clock_, in_matrix);
   }
   /// Arrival of a transfer from `src` whose send side already accrued to
-  /// the matrix (two-sided receives: trace-only, and not re-counted for
-  /// migration either).
+  /// the matrix (two-sided receives: trace-only).
   void trace_recv(int src, std::size_t bytes) {
     if (sink_) sink_->on_message(rank_, src, rank_, bytes, clock_, /*in_matrix=*/false);
   }
@@ -193,15 +186,8 @@ class Pe {
   /// line fetch).  `in_matrix=false` records trace-only events, e.g.
   /// remote atomics that no byte counter accounts for.
   void trace_pull(int src, std::size_t bytes, bool in_matrix = true) {
-    if (remap_ && in_matrix) remap_->note(rank_, src, static_cast<std::uint64_t>(bytes));
     if (sink_) sink_->on_message(rank_, src, rank_, bytes, clock_, in_matrix);
   }
-
-  /// True when a Remapper is accumulating migration counters this run.
-  /// Runtimes whose canonical transfer observations are sink-gated (the
-  /// CC-SAS remote-line batches) use this to emit them for migration even
-  /// without a metrics sink attached.
-  [[nodiscard]] bool migration_active() const { return remap_ != nullptr; }
 
   [[nodiscard]] PhaseStats& stats() { return stats_; }
 
@@ -230,25 +216,6 @@ class Pe {
   /// epoch-commit callbacks through their Pe handle).
   void add_barrier_hook(BarrierHookFn fn, void* ctx);
 
-  /// Forwarded to Machine::add_remap_hook: run at barrier quiescence just
-  /// before a migration round mutates the domain map (mp::World drains its
-  /// cross-worker payload channels here so per-source FIFO survives a
-  /// producer changing workers).
-  void add_remap_hook(BarrierHookFn fn, void* ctx);
-
-  /// Clock-neutral migration point for runtimes whose barriers are built
-  /// from point-to-point messages (mp::Comm's dissemination barrier) and so
-  /// never pass through Pe::barrier — the only machine-level quiescent
-  /// point where remap rounds normally fire.  Collective over all ranks:
-  /// every PE parks on the host until the team has arrived, the last
-  /// arrival runs the remap round, and everyone re-homes on wake.  No
-  /// virtual clock is read or written, so armed and unarmed runs follow
-  /// identical virtual-time trajectories.  When migration is off this is
-  /// one pointer check.  Safe to place right after a message-built barrier
-  /// completes: its release messages are already posted, so ranks still
-  /// draining them cannot depend on a parked PE running further.
-  void migration_rendezvous();
-
   /// Named checkpoint rendezvous point (campaign checkpoint/fork support).
   ///
   /// When the machine is not armed for `label` — the overwhelmingly common
@@ -274,7 +241,6 @@ class Pe {
   const origin::MachineParams* params_;
   Machine* machine_;
   metrics::Sink* sink_ = nullptr;  ///< optional observer; never affects clocks
-  Remapper* remap_ = nullptr;      ///< migration counters; never affects clocks
   double clock_ = 0.0;
   PhaseStats stats_;
   PhaseId cur_phase_{};            ///< innermost PhaseScope (analysis hooks)
@@ -323,22 +289,9 @@ class Machine {
   void set_workers(std::optional<int> w) { workers_override_ = w; }
   /// Domains the current/last run actually used (after clamping).
   [[nodiscard]] int workers() const { return run_workers_; }
-  /// Rank→domain partition of the current/last run.
+  /// Rank→domain partition of the current/last run: the fixed block
+  /// partition built at the start of run(), unchanged until it returns.
   [[nodiscard]] const DomainMap& domains() const { return domain_map_; }
-
-  /// Force an adaptive-migration interval for subsequent runs (tests,
-  /// benches, the --migrate CLI flag), or std::nullopt to return to the
-  /// O2K_MIGRATE environment default (0 = off).  `N >= 1` remaps every N
-  /// barrier rounds.  Migration needs the domain-serial substrate (pinned
-  /// fibers, workers > 1); anywhere else — threads backend, one worker,
-  /// single-PE runs — an enabled interval is safely inert.  Virtual times
-  /// are bit-identical at every setting (host placement only).
-  void set_migrate(std::optional<int> n) { migrate_override_ = n; }
-  /// Migration interval the current/last run resolved (0 = off).
-  [[nodiscard]] int migrate_interval() const { return run_migrate_; }
-  /// The run's Remapper, or nullptr when migration is off/inert
-  /// (diagnostics: rounds seen, nodes moved).
-  [[nodiscard]] const Remapper* remapper() const { return remapper_.get(); }
 
   /// See Pe::domain_serial / Pe::host_worker.
   [[nodiscard]] bool domain_serial() const { return engine_ != nullptr && run_workers_ > 1; }
@@ -352,13 +305,6 @@ class Machine {
   /// sas::World).  Hooks are cleared at the start of every run; duplicate
   /// (fn, ctx) registrations collapse to one.  Thread-safe.
   void add_barrier_hook(BarrierHookFn fn, void* ctx);
-
-  /// Register `fn(ctx)` to run at barrier quiescence immediately before a
-  /// migration round mutates the domain map (after the barrier hooks of
-  /// that round).  Runtimes drain their cross-worker lock-free structures
-  /// here.  Same lifecycle as barrier hooks: cleared at the start of every
-  /// run, duplicate (fn, ctx) collapse, thread-safe registration.
-  void add_remap_hook(BarrierHookFn fn, void* ctx);
 
   // ---- checkpoint rendezvous (campaign snapshot/fork support) -----------
   /// Callback fired on the last-arriving PE of an armed checkpoint
@@ -418,28 +364,19 @@ class Machine {
     double max_clock = 0.0;
     double max_cost = 0.0;
     double release_time = 0.0;
-    // Multi-domain runs stage arrivals hierarchically: PEs combine
-    // (max_clock, max_cost) inside their domain's stage first, and only the
-    // last PE of each domain touches the root fields above — the root mutex
-    // is taken O(domains) times per round instead of O(P).  max is
-    // commutative, associative and exact over doubles, so the staged
-    // release time is bit-identical to the flat combine.
+    // Arrivals combine in two stages: PEs fold (max_clock, max_cost) into
+    // their domain's stage first, and only the last PE of each domain
+    // touches the root fields above — the root mutex is taken O(domains)
+    // times per round instead of O(P).  max is commutative, associative and
+    // exact over doubles, so the release time does not depend on the
+    // domain count or the arrival order.
     struct Stage {
       std::mutex mu;
       int waiting = 0;
       double max_clock = 0.0;
       double max_cost = 0.0;
     };
-    std::vector<std::unique_ptr<Stage>> stages;  ///< one per domain when workers > 1
-  };
-
-  // Host-only arrive/release point for Pe::migration_rendezvous: counts
-  // arrivals under `mu`, publishes releases through the atomic generation.
-  // Clock-neutral by construction — no field ever feeds a virtual time.
-  struct RendezvousState {
-    std::mutex mu;
-    int waiting = 0;
-    std::atomic<std::uint64_t> generation{0};
+    std::vector<std::unique_ptr<Stage>> stages;  ///< one per domain
   };
 
   // Same arrive/release shape as BarrierState, but entirely clock-neutral:
@@ -455,28 +392,14 @@ class Machine {
   metrics::Sink* sink_ = nullptr;
   std::optional<ExecBackend> backend_override_;
   std::optional<int> workers_override_;
-  std::optional<int> migrate_override_;
   DomainMap domain_map_;     ///< rank→domain partition of the current run
   int run_workers_ = 1;      ///< domains the current/last run uses
-  int run_migrate_ = 0;      ///< resolved migration interval (0 = off)
-  std::unique_ptr<Remapper> remapper_;  ///< non-null while migration is live
   int resolve_workers(int nprocs) const;
-  int resolve_migrate() const;
-  /// Barrier-release remap point: on remap rounds, run the remap hooks
-  /// (drain cross-worker channels) and apply the Remapper's moves to the
-  /// domain map.  Caller is the releasing PE at quiescence.
-  void maybe_remap();
-  /// After a remap changed the releasing PE's own assignment, bounce its
-  /// fiber to the new home worker before it resumes simulated work.
-  void yield_home(int rank);
-  /// Backing implementation of Pe::migration_rendezvous.
-  void migration_rendezvous(Pe& pe);
 
   // Per-run state (valid while run() is active).  Slots grow monotonically
   // and are never destroyed mid-run, so a PE may park on its slot at any
   // point of the run.
   std::unique_ptr<BarrierState> barrier_;
-  std::unique_ptr<RendezvousState> rendezvous_;
   std::unique_ptr<CheckpointState> checkpoint_;
   std::vector<std::unique_ptr<Pe>> pes_;
   std::vector<std::unique_ptr<WaitSlot>> slots_;
@@ -494,9 +417,7 @@ class Machine {
 
   std::mutex hooks_mu_;
   std::vector<std::pair<BarrierHookFn, void*>> barrier_hooks_;
-  std::vector<std::pair<BarrierHookFn, void*>> remap_hooks_;
   void run_barrier_hooks();
-  void run_remap_hooks();
 
   // Checkpoint arming (set between runs; read by every PE inside a run).
   std::atomic<bool> cp_armed_{false};

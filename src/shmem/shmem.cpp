@@ -114,13 +114,6 @@ void Ctx::quiet() {
 std::int64_t Ctx::fetch_add(SymPtr<std::int64_t> target, std::int64_t v, int target_pe) {
   rma_check(target, 1, target_pe);
   const auto& P = world_.params();
-  // Conservative-lookahead invariant (DESIGN.md §11): a cross-domain
-  // fetch-op charges at least the lookahead bound, so one domain can never
-  // act on another's state "closer" in virtual time than the model allows.
-  O2K_CHECK(pe_.domain_of(target_pe) == pe_.domain() ||
-                P.shmem_atomic_ns + 2.0 * P.wire_ns(rank(), target_pe) >=
-                    P.cross_domain_lookahead_ns(),
-            "shmem: cross-domain atomic under the lookahead bound");
   pe_.advance(P.shmem_atomic_ns + 2.0 * P.wire_ns(rank(), target_pe));
   pe_.add_counter(c_atomics_, 1);
   pe_.trace_pull(target_pe, sizeof(std::int64_t), /*in_matrix=*/false);
@@ -202,12 +195,6 @@ void Ctx::signal(SymPtr<Signal> cell, std::int64_t value, int target_pe) {
   // Arrival time first, then the value with release ordering so the
   // waiter's acquire load sees a consistent pair.
   sig->arrival_ns = pe_.now() + P.wire_ns(rank(), target_pe);
-  // Conservative-lookahead invariant (DESIGN.md §11): a cross-domain signal
-  // (different node ⇒ ≥1 hop each way, plus the initiation overhead just
-  // charged) can never become visible under the lookahead bound.
-  O2K_CHECK(pe_.domain_of(target_pe) == pe_.domain() ||
-                sig->arrival_ns >= pe_.now() - P.shmem_o_ns + P.cross_domain_lookahead_ns(),
-            "shmem: cross-domain signal under the lookahead bound");
   std::atomic_ref<std::int64_t>(sig->value).store(value, std::memory_order_release);
   pe_.wake(target_pe);
 }

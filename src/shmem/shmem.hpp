@@ -26,13 +26,13 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdlib>
-#include <cstring>
 #include <memory>
 #include <mutex>
 #include <span>
 #include <type_traits>
 #include <vector>
 
+#include "common/bytes.hpp"
 #include "common/check.hpp"
 #include "rt/machine.hpp"
 
@@ -149,7 +149,7 @@ class Ctx {
   void put(SymPtr<T> dst, std::span<const T> src, int target_pe) {
     rma_check<T>(dst, src.size(), target_pe);
     charge_put(dst.offset, src.size_bytes(), target_pe, /*blocking=*/true);
-    std::memcpy(heap(target_pe) + dst.offset, src.data(), src.size_bytes());
+    copy_bytes(heap(target_pe) + dst.offset, src.data(), src.size_bytes());
   }
   template <typename T>
   void put_value(SymPtr<T> dst, const T& v, int target_pe) {
@@ -160,13 +160,13 @@ class Ctx {
   void put_nbi(SymPtr<T> dst, std::span<const T> src, int target_pe) {
     rma_check<T>(dst, src.size(), target_pe);
     charge_put(dst.offset, src.size_bytes(), target_pe, /*blocking=*/false);
-    std::memcpy(heap(target_pe) + dst.offset, src.data(), src.size_bytes());
+    copy_bytes(heap(target_pe) + dst.offset, src.data(), src.size_bytes());
   }
   template <typename T>
   void get(std::span<T> dst, SymPtr<T> src, int target_pe) {
     rma_check<T>(src, dst.size(), target_pe);
     charge_get(src.offset, dst.size_bytes(), target_pe);
-    std::memcpy(dst.data(), heap(target_pe) + src.offset, dst.size_bytes());
+    copy_bytes(dst.data(), heap(target_pe) + src.offset, dst.size_bytes());
   }
   template <typename T>
   [[nodiscard]] T get_value(SymPtr<T> src, int target_pe) {

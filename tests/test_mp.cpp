@@ -156,6 +156,27 @@ TEST(MpP2P, InvalidRanksRejected) {
                std::invalid_argument);
 }
 
+// Zero-length messages are legal on every receive path.  An empty buffer's
+// data() may be null, so no path may hand it to memcpy.
+TEST(MpP2P, ZeroLengthMessagesOnEveryReceivePath) {
+  World w(machine().params(), 2);
+  machine().run(2, [&](rt::Pe& pe) {
+    Comm comm(w, pe);
+    if (pe.rank() == 0) {
+      for (int tag = 1; tag <= 3; ++tag) comm.send(std::span<const double>{}, 1, tag);
+    } else {
+      EXPECT_TRUE(comm.recv_vec<double>(0, 1).empty());
+      comm.recv(std::span<double>{}, 0, 2);
+      auto req = comm.irecv(std::span<double>{}, 0, 3);
+      comm.wait(req);
+      EXPECT_FALSE(req.pending());
+    }
+    std::vector<double> none;
+    comm.bcast(std::span<double>(none), 0);
+    EXPECT_TRUE(none.empty());
+  });
+}
+
 TEST(MpNonblocking, IrecvWaitDelivers) {
   World w(machine().params(), 2);
   machine().run(2, [&](rt::Pe& pe) {

@@ -82,23 +82,6 @@ TEST(Params, RequiresValidPeIds) {
   EXPECT_THROW(p.max_hops(0), std::invalid_argument);
 }
 
-// The conservative lookahead bounds how soon any cross-domain event can
-// land: every inter-node path pays at least one router hop, and every
-// origination pays its model's overhead first.  It must be positive (or
-// domains could never advance independently) and no larger than any of the
-// cross-node event paths it summarises.
-TEST(Costs, CrossDomainLookaheadIsConservative) {
-  const auto p = MachineParams::origin2000();
-  const double la = p.cross_domain_lookahead_ns();
-  EXPECT_GT(la, 0.0);
-  EXPECT_LE(la, 2.0 * p.router_hop_ns);                  // remote coherence round
-  EXPECT_LE(la, p.shmem_o_ns + p.router_hop_ns);         // one-sided put/atomic
-  EXPECT_LE(la, p.mp_o_send_ns + p.router_hop_ns);       // eager send
-  // Scaling the machine beyond 64 PEs keeps per-hop costs, so the bound
-  // survives origin2000_scaled topologies unchanged.
-  EXPECT_EQ(la, MachineParams::origin2000_scaled(1024).cross_domain_lookahead_ns());
-}
-
 TEST(KernelCostsTest, AllPositive) {
   const auto k = KernelCosts::origin2000();
   EXPECT_GT(k.body_cell_interaction_ns, 0.0);

@@ -98,6 +98,24 @@ TEST(ShmemRma, PutNbiChargesBandwidthAtQuiet) {
   });
 }
 
+// Empty puts and gets are legal and leave the target untouched.  An empty
+// span's data() may be null, so no path may hand it to memcpy.
+TEST(ShmemRma, ZeroLengthPutAndGet) {
+  World w(machine().params(), 2);
+  machine().run(2, [&](rt::Pe& pe) {
+    Ctx ctx(w, pe);
+    auto arr = ctx.malloc<double>(2);
+    ctx.local(arr)[0] = 1.5;
+    ctx.barrier_all();
+    const int peer = 1 - pe.rank();
+    ctx.put(arr, std::span<const double>{}, peer);
+    ctx.put_nbi(arr, std::span<const double>{}, peer);
+    ctx.get(std::span<double>{}, arr, peer);
+    ctx.barrier_all();
+    EXPECT_EQ(ctx.local(arr)[0], 1.5);
+  });
+}
+
 TEST(ShmemRma, BoundsChecked) {
   World w(machine().params(), 2);
   EXPECT_THROW(machine().run(2,

@@ -1,4 +1,4 @@
-// The five o2k invariant checks plus the cross-file fact harvest they run
+// The four o2k invariant checks plus the cross-file fact harvest they run
 // against.  Everything operates on SourceFile::masked (comments and string
 // literals blanked), so a banned token in a doc comment never fires.
 #include "lint.hpp"
@@ -167,69 +167,11 @@ void harvest_fork_annotations(const SourceFile& f, Registry& reg) {
   }
 }
 
-void harvest_lookahead(const SourceFile& f, Registry& reg) {
-  const std::string& m = f.masked;
-  // Latency fields of struct MachineParams.
-  for (std::size_t p = 0; (p = find_word(m, "struct", p)) != std::string::npos; p += 6) {
-    const std::size_t np = skip_ws(m, p + 6);
-    if (!word_at(m, np, "MachineParams")) continue;
-    const std::size_t brace = m.find('{', np);
-    if (brace == std::string::npos) continue;
-    const std::size_t close = match_bracket(m, brace);
-    if (close == std::string::npos) continue;
-    for (std::size_t d = brace; (d = find_word(m, "double", d)) != std::string::npos && d < close;
-         d += 6) {
-      const std::size_t ip = skip_ws(m, d + 6);
-      const std::string name = ident_at(m, ip);
-      if (name.empty()) continue;
-      const char after = next_nonspace(m, ip + name.size());
-      if (after != '=' && after != ';') continue;  // functions, multi-token decls
-      if (name.size() < 3 || name.compare(name.size() - 3, 3, "_ns") != 0) continue;
-      if (name.find("bytes_per") != std::string::npos) continue;  // bandwidth, not latency
-      reg.lookahead_fields.push_back({name, f.path, f.line_of(ip)});
-    }
-  }
-  // Identifiers mentioned in the body of cross_domain_lookahead_ns().
-  for (std::size_t p = 0;
-       (p = find_word(m, "cross_domain_lookahead_ns", p)) != std::string::npos; p += 25) {
-    std::size_t q = skip_ws(m, p + 25);
-    if (q >= m.size() || m[q] != '(') continue;
-    q = match_bracket(m, q);
-    if (q == std::string::npos) continue;
-    q = skip_ws(m, q);
-    if (word_at(m, q, "const")) q = skip_ws(m, q + 5);
-    if (word_at(m, q, "noexcept")) q = skip_ws(m, q + 8);
-    if (q >= m.size() || m[q] != '{') continue;
-    const std::size_t end = match_bracket(m, q);
-    if (end == std::string::npos) continue;
-    reg.saw_lookahead_body = true;
-    for (std::size_t i = q; i < end; ++i) {
-      if (ident_char(m[i]) && (i == 0 || !ident_char(m[i - 1]))) {
-        const std::string id = ident_at(m, i);
-        reg.lookahead_in_min.insert(id);
-        i += id.size();
-      }
-    }
-  }
-  // Exempt registry entries.
-  for (std::size_t p = 0; (p = find_word(m, "O2K_LOOKAHEAD_EXEMPT", p)) != std::string::npos;
-       p += 20) {
-    const std::string raw_line = f.line_text(f.line_of(p));
-    if (raw_line.find("#define") != std::string::npos) continue;
-    std::size_t q = skip_ws(m, p + 20);
-    if (q >= m.size() || m[q] != '(') continue;
-    q = skip_ws(m, q + 1);
-    const std::string name = ident_at(m, q);
-    if (!name.empty()) reg.lookahead_exempt.push_back({name, f.path, f.line_of(q)});
-  }
-}
-
 }  // namespace
 
 void harvest(const SourceFile& f, Registry& reg) {
   harvest_unordered(f, reg);
   harvest_fork_annotations(f, reg);
-  harvest_lookahead(f, reg);
 }
 
 void harvest_alias_uses(const SourceFile& f, Registry& reg) { harvest_alias_vars(f, reg); }
@@ -622,34 +564,6 @@ void check_sas_touch(const SourceFile& f, const Registry&, std::vector<Finding>&
               "' with no touch_read/touch_write/touch_*_fields annotation anywhere in this "
               "file: the access is invisible to the race detector and charges no coherence "
               "premium");
-    }
-  }
-}
-
-// ---- o2k-lookahead-path ---------------------------------------------------
-
-void finalize_lookahead(const Registry& reg, std::vector<Finding>& out) {
-  static constexpr const char* kCheck = "o2k-lookahead-path";
-  if (!reg.saw_lookahead_body) return;
-  std::set<std::string> exempt;
-  for (const auto& e : reg.lookahead_exempt) exempt.insert(e.name);
-  std::set<std::string> fields;
-  for (const auto& fd : reg.lookahead_fields) fields.insert(fd.name);
-  for (const auto& fd : reg.lookahead_fields) {
-    if (reg.lookahead_in_min.count(fd.name) != 0) continue;
-    if (exempt.count(fd.name) != 0) continue;
-    out.push_back(Finding{
-        kCheck, fd.file, fd.line, 1,
-        "latency field '" + fd.name +
-            "' is in neither cross_domain_lookahead_ns() nor the O2K_LOOKAHEAD_EXEMPT "
-            "registry: if any delivery path can charge less than the current lookahead, "
-            "conservative cross-domain delivery silently breaks"});
-  }
-  for (const auto& e : reg.lookahead_exempt) {
-    if (!fields.empty() && fields.count(e.name) == 0) {
-      out.push_back(Finding{kCheck, e.file, e.line, 1,
-                            "O2K_LOOKAHEAD_EXEMPT entry '" + e.name +
-                                "' names no MachineParams latency field (stale entry?)"});
     }
   }
 }

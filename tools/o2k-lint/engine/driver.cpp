@@ -32,12 +32,6 @@ struct Options {
 
 /// Scope table: which checks run over which part of src/.  Files outside
 /// src/ (test fixtures) get every enabled check.
-///
-/// Note "src/rt/" deliberately covers the migration layer too
-/// (src/rt/remap.*, src/rt/domain.*): the Remapper's byte counters and
-/// the quiescent-round apply are simulated-path code — a wall clock or
-/// unordered iteration there would leak host order into which nodes move,
-/// and CI forbids baselining anything under src/rt/ back out.
 const std::vector<std::string>& scope_prefixes(const std::string& check) {
   static const std::vector<std::string> kSimPaths{
       "src/rt/",   "src/mp/",   "src/shmem/", "src/sas/", "src/nbody/",
@@ -45,10 +39,8 @@ const std::vector<std::string>& scope_prefixes(const std::string& check) {
   static const std::vector<std::string> kForkPaths{"src/campaign/", "src/apps/", "src/rt/"};
   static const std::vector<std::string> kTouchPaths{"src/apps/", "src/nbody/", "src/mesh/",
                                                     "src/dht/"};
-  static const std::vector<std::string> kLookaheadPaths{"src/origin/"};
   if (check == "o2k-fork-unsafe") return kForkPaths;
   if (check == "o2k-sas-touch") return kTouchPaths;
-  if (check == "o2k-lookahead-path") return kLookaheadPaths;
   return kSimPaths;  // o2k-nondeterminism, o2k-fiber-blocking
 }
 
@@ -251,7 +243,6 @@ int main(int argc, char** argv) {
     if (enabled("o2k-sas-touch") && in_scope(s.path, "o2k-sas-touch"))
       check_sas_touch(s, reg, findings);
   }
-  if (enabled("o2k-lookahead-path")) finalize_lookahead(reg, findings);
 
   std::sort(findings.begin(), findings.end(), [](const Finding& a, const Finding& b) {
     return std::tie(a.file, a.line, a.col, a.check) < std::tie(b.file, b.line, b.col, b.check);

@@ -2,11 +2,10 @@
 //
 // The simulator's correctness story rests on invariants the compiler cannot
 // see: bit-exact virtual times across exec backends and worker counts,
-// fiber paths with no blocking syscalls, fork-safe checkpoint stems, SAS
-// accesses visible to the race detector, and a cost model whose every
-// cross-node latency is registered in the conservative-lookahead minimum.
-// This engine enforces them at lint time, over source text, with no
-// dependency beyond the C++20 standard library — so the gate runs on any
+// fiber paths with no blocking syscalls, fork-safe checkpoint stems, and
+// SAS accesses visible to the race detector.  This engine enforces them at
+// lint time, over source text, with no dependency beyond the C++20
+// standard library — so the gate runs on any
 // build host, including ones without Clang development headers.  A Clang
 // LibTooling frontend (tools/o2k-lint/clang/) adds AST-level precision for
 // a subset of the checks when a Clang dev install is available; both
@@ -24,9 +23,6 @@
 //                       functions inside Machine::arm_checkpoint callbacks
 //   o2k-sas-touch       raw access through sas World::data/span pointers
 //                       with no touch_* annotation for the same array
-//   o2k-lookahead-path  origin::MachineParams latency fields absent from
-//                       both cross_domain_lookahead_ns() and the
-//                       O2K_LOOKAHEAD_EXEMPT registry
 #pragma once
 
 #include <cstddef>
@@ -38,9 +34,7 @@
 namespace o2k::lint {
 
 inline constexpr const char* kAllChecks[] = {
-    "o2k-nondeterminism", "o2k-fiber-blocking", "o2k-fork-unsafe",
-    "o2k-sas-touch",      "o2k-lookahead-path",
-};
+    "o2k-nondeterminism", "o2k-fiber-blocking", "o2k-fork-unsafe", "o2k-sas-touch"};
 
 struct Finding {
   std::string check;
@@ -85,22 +79,6 @@ struct Registry {
   /// Functions annotated with the fork-safety macros (common/lint.hpp).
   std::set<std::string> fork_safe_fns;
   std::set<std::string> fork_unsafe_fns;
-
-  // ---- o2k-lookahead-path facts -----------------------------------------
-  struct LookaheadField {
-    std::string name;
-    std::string file;
-    int line = 0;
-  };
-  std::vector<LookaheadField> lookahead_fields;  ///< double *_ns in MachineParams
-  std::set<std::string> lookahead_in_min;  ///< idents in cross_domain_lookahead_ns body
-  struct ExemptEntry {
-    std::string name;
-    std::string file;
-    int line = 0;
-  };
-  std::vector<ExemptEntry> lookahead_exempt;
-  bool saw_lookahead_body = false;
 };
 
 /// Pass A: harvest registry facts from one file.  Call over every file,
@@ -117,10 +95,6 @@ void check_nondeterminism(const SourceFile& f, const Registry& reg, std::vector<
 void check_fiber_blocking(const SourceFile& f, const Registry& reg, std::vector<Finding>& out);
 void check_fork_unsafe(const SourceFile& f, const Registry& reg, std::vector<Finding>& out);
 void check_sas_touch(const SourceFile& f, const Registry& reg, std::vector<Finding>& out);
-
-/// Global finalisation for o2k-lookahead-path (fields vs min-body vs exempt
-/// registry are usually in different files).
-void finalize_lookahead(const Registry& reg, std::vector<Finding>& out);
 
 // ---- token helpers shared by the checks (see source.cpp) -----------------
 
