@@ -34,6 +34,7 @@ extern "C" {
 void __sanitizer_start_switch_fiber(void** fake_stack_save, const void* bottom, size_t size);
 void __sanitizer_finish_switch_fiber(void* fake_stack_save, const void** bottom_old,
                                      size_t* size_old);
+void __asan_unpoison_memory_region(void const volatile* addr, size_t size);
 }
 #endif
 
@@ -190,6 +191,23 @@ bool fibers_supported() {
 // FiberStack
 // ---------------------------------------------------------------------------
 
+namespace {
+
+/// A finished fiber switches away for good, so ASan never sees its frames
+/// return and their redzones stay poisoned.  Clear them before the stack
+/// holds a fresh context, and before it goes back to the kernel: the next
+/// mapping at that address (another stack, a SHMEM heap) would inherit the
+/// stale shadow.
+void unpoison_stack(const FiberStack& s) {
+#if defined(O2K_EXEC_ASAN)
+  __asan_unpoison_memory_region(s.bottom(), s.usable_bytes());
+#else
+  (void)s;
+#endif
+}
+
+}  // namespace
+
 FiberStack::FiberStack(std::size_t usable_bytes) {
   const auto page = static_cast<std::size_t>(::sysconf(_SC_PAGESIZE));
   guard_bytes_ = page;
@@ -210,7 +228,9 @@ FiberStack::FiberStack(std::size_t usable_bytes) {
 }
 
 FiberStack::~FiberStack() {
-  if (base_ != nullptr) ::munmap(base_, map_bytes_);
+  if (base_ == nullptr) return;
+  unpoison_stack(*this);
+  ::munmap(base_, map_bytes_);
 }
 
 // ---------------------------------------------------------------------------
@@ -218,6 +238,7 @@ FiberStack::~FiberStack() {
 // ---------------------------------------------------------------------------
 
 void make_context(RawContext& ctx, const FiberStack& stack, ContextEntry entry) {
+  unpoison_stack(stack);
   auto top = reinterpret_cast<std::uintptr_t>(stack.top());
 #if defined(__x86_64__)
   // Place the thunk's return-address slot at 8 mod 16 so that, inside the

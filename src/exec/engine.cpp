@@ -4,6 +4,7 @@
 #include <cstdlib>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 #include "common/check.hpp"
 #include "common/env.hpp"
@@ -123,6 +124,7 @@ void FiberEngine::run(int nprocs, const std::function<void(int)>& body, const Pl
     pinned_done_.store(0, std::memory_order_relaxed);
     for (int w = 0; w < m; ++w) {
       WorkerState& ws = *wstates_[static_cast<std::size_t>(w)];
+      ws.runnext = nullptr;
       ws.localq.clear();
       ws.epoch.store(0, std::memory_order_relaxed);
       ws.sleeping.store(0, std::memory_order_relaxed);
@@ -212,10 +214,12 @@ void FiberEngine::worker_loop_pinned(int wid) {
   const TlsWorker saved = tls_worker;
   tls_worker = TlsWorker{this, wid};
   while (pinned_done_.load(std::memory_order_acquire) != live_) {
-    if (w.localq.empty()) {
+    if (w.runnext == nullptr && w.localq.empty()) {
       // Sleep eventcount: read the epoch, re-drain, and only then commit to
       // the condvar — a producer always delivers before bumping the epoch,
-      // so either the re-drain sees the fiber or the epoch moved.
+      // so either the re-drain sees the fiber or the epoch moved.  The
+      // run-next slot is local work too: nobody else can wake a worker
+      // that sleeps on a filled slot.
       const std::uint64_t e = w.epoch.load(std::memory_order_seq_cst);
       if (drain_into_local(w)) continue;
       std::unique_lock<std::mutex> lk(w.mu);
@@ -232,8 +236,11 @@ void FiberEngine::worker_loop_pinned(int wid) {
       w.sleeping.store(0, std::memory_order_relaxed);
       continue;
     }
-    Fiber* f = w.localq.front();
-    w.localq.pop_front();
+    Fiber* f = std::exchange(w.runnext, nullptr);
+    if (f == nullptr) {
+      f = w.localq.front();
+      w.localq.pop_front();
+    }
     for (;;) {
       f->home = &w.ctx;
       ctx_swap_to(w.ctx, f->ctx, f, f->stack.get());
@@ -312,9 +319,15 @@ void FiberEngine::deliver(Fiber* f) {
   WorkerState& w = *wstates_[static_cast<std::size_t>(dst)];
   const TlsWorker t = tls_worker;
   if (t.eng == this && t.wid == dst) {
-    // Same worker: plain owner-thread push, no notification needed — we
-    // are by definition awake.
-    w.localq.push_back(f);
+    // Same worker, no notification needed — we are by definition awake.
+    // The woken fiber takes the run-next slot and a previous occupant
+    // moves to the tail of localq, so the latest wake runs first.  In a
+    // chain of rendezvous sends (the last step of Comm::alltoallv) a
+    // receiver wakes the sender it released and then the next link; in
+    // FIFO order the released sender's whole compute phase would run
+    // before the chain moves on, while partners on other workers sleep.
+    if (w.runnext != nullptr) w.localq.push_back(w.runnext);
+    w.runnext = f;
     return;
   }
   if (t.eng == this) {

@@ -12,8 +12,9 @@
 //     worker — its synchronization domain (rt::DomainMap) — which owns a
 //     private local run queue.  Cross-worker wakes travel through per-pair
 //     SPSC mailboxes (exec/spsc.hpp) and a per-worker sleep eventcount, so
-//     the inter-domain hot path takes no lock; same-worker wakes are a
-//     plain deque push.  Wakes from threads outside the pool (the threads
+//     the inter-domain hot path takes no lock; a same-worker wake puts the
+//     fiber in the worker's one-fiber run-next slot, which runs before the
+//     local queue.  Wakes from threads outside the pool (the threads
 //     backend never coexists, but user code may wake from helper threads)
 //     fall back to a small mutex-guarded overflow queue.
 //
@@ -151,14 +152,17 @@ class FiberEngine {
     std::atomic<int> status{kActive};
   };
 
-  /// Pinned-mode per-worker state.  `localq` and the inbox consumer
-  /// cursors are owner-only; producers touch the inbox producer cursors,
-  /// the overflow queue (under its mutex) and the sleep eventcount.
+  /// Pinned-mode per-worker state.  `runnext`, `localq` and the inbox
+  /// consumer cursors are owner-only; producers touch the inbox producer
+  /// cursors, the overflow queue (under its mutex) and the sleep eventcount.
   /// Fiber completion is tracked by one run-wide counter (`pinned_done_`):
   /// every worker loops until the whole run is done, so the last finisher,
   /// on whichever worker, is what ends every loop.
   struct WorkerState {
     RawContext ctx;
+    /// The fiber most recently woken by one of this worker's own fibers; it
+    /// runs before `localq` (Go's runnext).  See deliver().
+    Fiber* runnext = nullptr;
     std::deque<Fiber*> localq;
     std::vector<SpscRing<Fiber*>> inbox;  ///< [producer worker] -> ring
     // Sleep eventcount (same store-buffering-free protocol as the per-PE

@@ -36,14 +36,13 @@ World::World(const origin::MachineParams& params, int nprocs, std::size_t arena_
     : params_(params),
       nprocs_(nprocs),
       placement_(default_placement),
-      arena_bytes_(arena_bytes) {
+      arena_bytes_(arena_bytes),
+      arena_(arena_bytes) {
   O2K_REQUIRE(nprocs >= 1, "sas::World needs at least one PE");
   O2K_REQUIRE(nprocs <= params.max_pes, "sas::World larger than the machine");
   O2K_REQUIRE(arena_bytes >= static_cast<std::size_t>(params.page_bytes),
               "sas: arena smaller than one page");
 
-  arena_.reset(static_cast<std::byte*>(std::calloc(arena_bytes, 1)));
-  O2K_REQUIRE(arena_ != nullptr, "sas: arena allocation failed");
   const auto page_b = static_cast<std::size_t>(params.page_bytes);
   const auto line_b = static_cast<std::size_t>(params.cache_line_bytes);
   num_pages_ = (arena_bytes + page_b - 1) / page_b;
@@ -87,10 +86,9 @@ World::World(const origin::MachineParams& params, int nprocs, std::size_t arena_
     sh.logs.resize(static_cast<std::size_t>(sh.rank_end - sh.rank_begin));
     sh.red.resize(static_cast<std::size_t>(sh.rank_end - sh.rank_begin));
   }
-  pe_clock_.reset(new std::atomic<double>[static_cast<std::size_t>(nprocs)]);
+  pe_clock_ = std::make_unique<ClockSlot[]>(static_cast<std::size_t>(nprocs));
   pe_state_.reset(new std::atomic<int>[static_cast<std::size_t>(nprocs)]);
   for (int r = 0; r < nprocs; ++r) {
-    pe_clock_[static_cast<std::size_t>(r)].store(0.0, std::memory_order_relaxed);
     pe_state_[static_cast<std::size_t>(r)].store(0, std::memory_order_relaxed);
   }
   if (auto* s = sanitize::active()) s->begin_sas_world(nprocs);
@@ -127,9 +125,9 @@ void World::state_capture(void* world, rt::StateSink& sink) {
   sink.put_u64("sas.page_home.digest", h);
   sink.put_u64("sas.line_ver.digest", hv);
   sink.put_u64("sas.line_writer.digest", hw);
-  // Only the allocated prefix: the rest of the calloc'd arena is untouched
+  // Only the allocated prefix: the rest of the arena is untouched
   // zeros whose pages never committed; digesting them would fault them in.
-  sink.put_u64("sas.arena.digest", rt::fnv1a(w.arena_.get(), w.bump_));
+  sink.put_u64("sas.arena.digest", rt::fnv1a(w.arena_.data(), w.bump_));
 }
 
 std::size_t World::allocate(std::size_t bytes, Placement placement, const char* name) {
@@ -206,7 +204,8 @@ void World::commit_epoch() {
 
 void World::commit_epoch_hook(void* world) { static_cast<World*>(world)->commit_epoch(); }
 
-Team::Team(World& world, rt::Pe& pe) : world_(world), pe_(pe) {
+Team::Team(World& world, rt::Pe& pe)
+    : world_(world), pe_(pe), wrote_line_(world.num_lines_ * sizeof(std::uint32_t)) {
   O2K_REQUIRE(world.size() == pe.size(),
               "sas::World size must match the Machine::run processor count");
   num_sets_ = world.params().l2_bytes / static_cast<std::size_t>(world.params().cache_line_bytes);
@@ -232,9 +231,6 @@ Team::Team(World& world, rt::Pe& pe) : world_(world), pe_(pe) {
         local ? 0.0 : world.params().remote_read_premium_ns(rank(), p);
   }
   trace_lines_by_home_.assign(static_cast<std::size_t>(size()), 0);
-  wrote_line_.reset(
-      static_cast<std::uint32_t*>(std::calloc(world.num_lines_, sizeof(std::uint32_t))));
-  O2K_REQUIRE(wrote_line_ != nullptr, "sas: wrote-line table allocation failed");
   pe.add_barrier_hook(&World::commit_epoch_hook, &world);
   world_.pe_state_[static_cast<std::size_t>(rank())].store(0, std::memory_order_relaxed);
   mirror_clock();
@@ -250,9 +246,8 @@ void Team::mirror_clock() {
   // min_wait_clock store + clock loads: one side always observes the other,
   // so a dispatch waiter cannot miss the moment our clock crosses its entry
   // time (see Dispatch).
-  const auto me = static_cast<std::size_t>(rank());
   const double now = pe_.now();
-  const double old = world_.pe_clock_[me].exchange(now, std::memory_order_seq_cst);
+  const double old = world_.pe_clock(rank()).exchange(now, std::memory_order_seq_cst);
   const double m = world_.dispatch_.min_wait_clock.load(std::memory_order_seq_cst);
   // Wake when our clock crosses the waiter minimum, *or* leaves it behind:
   // a waiter at exactly `m` may be tie-blocked by our lower rank (may_go),
@@ -276,7 +271,7 @@ void Team::wake_next_waiter() {
     for (int p = 0; p < size(); ++p) {
       if (world_.pe_state_[static_cast<std::size_t>(p)].load(std::memory_order_relaxed) != 1)
         continue;
-      const double t = world_.pe_clock_[static_cast<std::size_t>(p)].load(std::memory_order_relaxed);
+      const double t = world_.pe_clock(p).load(std::memory_order_relaxed);
       if (best < 0 || t < best_t) {
         best = p;
         best_t = t;
@@ -359,7 +354,7 @@ void Team::touch_read_ann(std::size_t off, std::size_t bytes, std::size_t elem,
   int cur_home = 0;
   const std::uint32_t* cver = nullptr;
   std::size_t lbase = 0, lend = 0;
-  const std::uint32_t* wrote = wrote_line_.get();
+  const auto* wrote = reinterpret_cast<const std::uint32_t*>(wrote_line_.data());
   const auto gen_tag = static_cast<std::uint32_t>(pe_.barrier_epochs() + 1);
   for (std::size_t line = first; line <= last; ++line) {
     const std::size_t set = sets_mask_ != 0 ? (line & sets_mask_) : (line % num_sets_);
@@ -435,7 +430,7 @@ void Team::touch_write_ann(std::size_t off, std::size_t bytes, std::size_t elem,
   const int* cwriter = nullptr;
   std::atomic<int>* ew_arr = nullptr;
   std::size_t lbase = 0, lend = 0;
-  std::uint32_t* wrote = wrote_line_.get();
+  auto* wrote = reinterpret_cast<std::uint32_t*>(wrote_line_.data());
   const auto gen_tag = static_cast<std::uint32_t>(pe_.barrier_epochs() + 1);
   auto& my_lines = world_.epoch_log(me).lines;
   for (std::size_t line = first; line <= last; ++line) {
@@ -600,7 +595,7 @@ std::pair<std::size_t, std::size_t> Team::dynamic_next(std::size_t chunk) {
     for (int p = 0; p < size(); ++p) {
       if (world_.pe_state_[static_cast<std::size_t>(p)].load(std::memory_order_relaxed) != 1)
         continue;
-      m = std::min(m, world_.pe_clock_[static_cast<std::size_t>(p)].load(std::memory_order_relaxed));
+      m = std::min(m, world_.pe_clock(p).load(std::memory_order_relaxed));
     }
     d.min_wait_clock.store(m, std::memory_order_seq_cst);
   };
@@ -632,7 +627,7 @@ std::pair<std::size_t, std::size_t> Team::dynamic_next(std::size_t chunk) {
       if (p == rank()) continue;
       const int st = world_.pe_state_[static_cast<std::size_t>(p)].load(std::memory_order_seq_cst);
       if (st == 2) continue;  // done
-      const double t = world_.pe_clock_[static_cast<std::size_t>(p)].load(std::memory_order_seq_cst);
+      const double t = world_.pe_clock(p).load(std::memory_order_seq_cst);
       if (t < my_t || (t == my_t && p < rank())) return false;
     }
     return true;

@@ -55,6 +55,7 @@
 #include <vector>
 
 #include "common/check.hpp"
+#include "common/region.hpp"
 #include "rt/machine.hpp"
 
 namespace o2k::rt {
@@ -107,7 +108,7 @@ class World {
   /// Raw pointer into the arena — used by setup code and by Team accessors.
   template <typename T>
   [[nodiscard]] T* data(const SharedArray<T>& a) {
-    return reinterpret_cast<T*>(arena_.get() + a.offset);
+    return reinterpret_cast<T*>(arena_.data() + a.offset);
   }
   template <typename T>
   [[nodiscard]] std::span<T> span(const SharedArray<T>& a) {
@@ -143,7 +144,7 @@ class World {
   Placement placement_;
   std::size_t arena_bytes_;
   std::size_t bump_ = 0;
-  std::unique_ptr<std::byte[], FreeDeleter> arena_;
+  common::ZeroedRegion arena_;
 
   std::size_t num_pages_ = 0;
   std::size_t num_lines_ = 0;
@@ -264,7 +265,16 @@ class World {
     std::atomic<double> min_wait_clock{std::numeric_limits<double>::infinity()};
   };
   Dispatch dispatch_;
-  std::unique_ptr<std::atomic<double>[]> pe_clock_;   ///< mirrored clocks
+  // Mirrored clocks, one per cache line: Team::mirror_clock exchanges its
+  // PE's slot after every touch walk, and on the shared queue any host
+  // thread runs any PE, so packed slots would bounce between threads.
+  struct alignas(64) ClockSlot {
+    std::atomic<double> t{0.0};
+  };
+  std::unique_ptr<ClockSlot[]> pe_clock_;
+  [[nodiscard]] std::atomic<double>& pe_clock(int r) {
+    return pe_clock_[static_cast<std::size_t>(r)].t;
+  }
   std::unique_ptr<std::atomic<int>[]> pe_state_;      ///< 0 busy, 1 waiting, 2 done
 };
 
@@ -415,11 +425,12 @@ class Team {
 
   // Lines this PE wrote in the current epoch, stamped with the PE's
   // barrier count + 1 so a barrier invalidates all stamps at once.
-  // calloc-backed: pages commit lazily, so footprint tracks the lines this
-  // PE actually writes, not the arena size.  Drives the "my dirty copy is
-  // still valid" hit rule and the once-per-epoch writer claim — both
-  // functions of this PE's own program only, never of host interleaving.
-  std::unique_ptr<std::uint32_t[], World::FreeDeleter> wrote_line_;
+  // One std::uint32_t per arena line.  Pages commit lazily, so footprint
+  // tracks the lines this PE actually writes, not the arena size.  Drives
+  // the "my dirty copy is still valid" hit rule and the once-per-epoch
+  // writer claim — both functions of this PE's own program only, never of
+  // host interleaving.
+  common::ZeroedRegion wrote_line_;
 
   // Cached geometry and per-home cost tables (resolved once per Team so the
   // touch walk does no params indirection, division by non-constants, or

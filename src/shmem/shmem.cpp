@@ -23,13 +23,9 @@ World::World(const origin::MachineParams& params, int nprocs, std::size_t heap_b
   O2K_REQUIRE(nprocs <= params.max_pes, "shmem::World larger than the machine");
   O2K_REQUIRE(heap_bytes >= 4096, "shmem: symmetric heap too small");
   heaps_.reserve(static_cast<std::size_t>(nprocs));
-  for (int r = 0; r < nprocs; ++r) {
-    // calloc: zeroed (symmetric flags/locks start in a known state) yet
-    // lazily committed, so untouched heap pages cost no physical memory.
-    auto* p = static_cast<std::byte*>(std::calloc(heap_bytes, 1));
-    O2K_REQUIRE(p != nullptr, "shmem: symmetric heap allocation failed");
-    heaps_.emplace_back(p);
-  }
+  // Zeroed (symmetric flags/locks start in a known state) yet lazily
+  // committed, so untouched heap pages cost no physical memory.
+  for (int r = 0; r < nprocs; ++r) heaps_.emplace_back(heap_bytes);
   if (auto* s = sanitize::active()) s->begin_shmem_world(nprocs);
   rt::StateRegistry::instance().add(this, &World::state_capture, "shmem.world");
 }
@@ -45,7 +41,7 @@ void World::state_capture(void* world, rt::StateSink& sink) {
   sink.put_u64("shmem.alloc_high", used);
   for (int r = 0; r < w.nprocs_; ++r) {
     sink.put_u64("shmem.heap." + std::to_string(r) + ".digest",
-                 rt::fnv1a(w.heaps_[static_cast<std::size_t>(r)].get(), used));
+                 rt::fnv1a(w.heaps_[static_cast<std::size_t>(r)].data(), used));
   }
 }
 

@@ -25,8 +25,6 @@
 #include <array>
 #include <atomic>
 #include <cstddef>
-#include <cstdlib>
-#include <memory>
 #include <mutex>
 #include <span>
 #include <type_traits>
@@ -34,6 +32,7 @@
 
 #include "common/bytes.hpp"
 #include "common/check.hpp"
+#include "common/region.hpp"
 #include "rt/machine.hpp"
 
 namespace o2k::rt {
@@ -71,12 +70,9 @@ class World {
 
  private:
   friend class Ctx;
-  struct FreeDeleter {
-    void operator()(std::byte* p) const noexcept { std::free(p); }
-  };
 
   /// Record a PE's symmetric bump-pointer high-water mark.  The heaps are
-  /// calloc'd (zero, lazily committed); checkpoint capture digests only
+  /// zero and lazily committed; checkpoint capture digests only
   /// [0, alloc_high_) so untouched pages are neither hashed nor faulted in.
   void note_alloc(std::size_t high) {
     std::size_t cur = alloc_high_.load(std::memory_order_relaxed);
@@ -110,7 +106,7 @@ class World {
   const origin::MachineParams& params_;
   int nprocs_;
   std::size_t heap_bytes_;
-  std::vector<std::unique_ptr<std::byte[], FreeDeleter>> heaps_;
+  std::vector<common::ZeroedRegion> heaps_;
   std::atomic<std::size_t> alloc_high_{0};
   std::array<AtomicShard, kAtomicShards> atomic_mu_;
 };
@@ -250,7 +246,7 @@ class Ctx {
   std::size_t allocate(std::size_t bytes);
 
   [[nodiscard]] std::byte* heap(int pe) const {
-    return world_.heaps_[static_cast<std::size_t>(pe)].get();
+    return world_.heaps_[static_cast<std::size_t>(pe)].data();
   }
   void charge_put(std::size_t offset, std::size_t bytes, int target_pe, bool blocking);
   void charge_get(std::size_t offset, std::size_t bytes, int target_pe);

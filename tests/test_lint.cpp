@@ -179,4 +179,30 @@ TEST(LintGate, SrcIsCleanUnderCommittedBaseline) {
   EXPECT_NE(r.output.find(" 0 findings"), std::string::npos) << r.output;
 }
 
+// CI feeds the engine compile_commands.json, which also names bench and test
+// TUs.  Those are out of scope: the bench TU reads wall clocks on purpose,
+// and the test TU's unordered container 'a' must not be harvested into the
+// src/ checks (it used to flag an unrelated 'a' in src/mesh/dualgraph.cpp).
+TEST(LintGate, CompdbKeepsOnlySrcTranslationUnits) {
+  const std::string root(O2K_LINT_REPO_ROOT);
+  const std::string db = temp_path("o2k_lint_compdb.json");
+  {
+    std::ofstream out(db);
+    const std::array<const char*, 3> tus{"bench/bench_micro_runtime.cpp", "tests/test_nbody.cpp",
+                                         "src/mesh/dualgraph.cpp"};
+    out << "[\n";
+    for (std::size_t i = 0; i < tus.size(); ++i) {
+      out << "  {\"directory\": \"" << root << "\", \"command\": \"c++ -c " << tus[i]
+          << "\", \"file\": \"" << root << "/" << tus[i] << "\"}"
+          << (i + 1 < tus.size() ? ",\n" : "\n");
+    }
+    out << "]\n";
+  }
+  const auto r = run_lint("--repo-root=" + root + " --compdb=" + db + " --baseline=" + root +
+                          "/tools/o2k-lint/baseline.txt");
+  EXPECT_EQ(r.exit_code, 0) << r.output;
+  EXPECT_NE(r.output.find(" 0 findings"), std::string::npos) << r.output;
+  std::remove(db.c_str());
+}
+
 }  // namespace

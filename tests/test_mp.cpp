@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <numeric>
 #include <random>
+#include <string>
 
 #include "mp/comm.hpp"
 
@@ -327,6 +328,55 @@ TEST_P(MpCollectives, SimulatedTimeDeterministic) {
 }
 
 INSTANTIATE_TEST_SUITE_P(ProcCounts, MpCollectives, ::testing::Values(1, 2, 3, 4, 7, 8, 16, 32));
+
+// Rendezvous alltoallv on pinned domains: every block is larger than the
+// eager threshold, so each exchange step is a blocking send, and the
+// schedule of the last step is a chain of rendezvous completions running
+// down the ranks — the chain a pinned worker's run-next slot reorders.
+// Rank-skewed work between two rounds makes receivers and senders park in
+// both orders.  Payloads must arrive intact and the per-PE clocks must not
+// move with the worker count or the backend.
+TEST(MpRendezvousCollectives, AlltoallvBitIdenticalAcrossWorkersAndBackends) {
+  const auto value = [](int src, int dst, std::size_t i) {
+    return static_cast<int>((static_cast<std::size_t>(src * 64 + dst) << 16) + i);
+  };
+  for (const int p : {8, 16}) {
+    SCOPED_TRACE("P=" + std::to_string(p));
+    const auto run_with = [&](rt::ExecBackend b, int workers) {
+      rt::Machine m;
+      m.set_exec_backend(b);
+      m.set_workers(workers);
+      World w(m.params(), p);
+      const std::size_t n = m.params().mp_eager_bytes / sizeof(int) + 1;
+      return m.run(p, [&](rt::Pe& pe) {
+        Comm comm(w, pe);
+        const int me = pe.rank();
+        for (int round = 0; round < 2; ++round) {
+          pe.advance(static_cast<double>(((me + round) * 7919) % 251) * 100.0);
+          std::vector<std::vector<int>> send(static_cast<std::size_t>(p));
+          for (int d = 0; d < p; ++d) {
+            auto& block = send[static_cast<std::size_t>(d)];
+            block.resize(n + static_cast<std::size_t>(d));
+            for (std::size_t i = 0; i < block.size(); ++i) block[i] = value(me, d, i);
+          }
+          const auto recv = comm.alltoallv<int>(send);
+          for (int s = 0; s < p; ++s) {
+            const auto& block = recv[static_cast<std::size_t>(s)];
+            ASSERT_EQ(block.size(), n + static_cast<std::size_t>(me));
+            for (std::size_t i = 0; i < block.size(); ++i) ASSERT_EQ(block[i], value(s, me, i));
+          }
+        }
+      }).pe_ns;
+    };
+    const auto base = run_with(rt::ExecBackend::kFibers, 1);
+    for (const auto b : {rt::ExecBackend::kFibers, rt::ExecBackend::kThreads}) {
+      for (const int w : {1, 2, 4}) {
+        EXPECT_EQ(base, run_with(b, w))
+            << (b == rt::ExecBackend::kFibers ? "fibers" : "threads") << " workers=" << w;
+      }
+    }
+  }
+}
 
 // Lost-wakeup stress: every rank sends one message per (destination, tag)
 // pair and receives its incoming set in a rank-seeded shuffled order, with

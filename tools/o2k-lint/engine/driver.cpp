@@ -174,9 +174,13 @@ int main(int argc, char** argv) {
     }
   }
   if (!opt.compdb.empty()) {
+    // Only the simulator's own translation units: bench and test TUs may
+    // read wall clocks, and the harvest would register their container
+    // names as if src/ declared them.
     for (const std::string& f : compdb_files(opt.compdb, err)) {
       std::error_code ec;
-      if (fs::is_regular_file(f, ec) && source_ext(f)) files.push_back(f);
+      if (fs::is_regular_file(f, ec) && source_ext(f) && rel_to_root(f, root).rfind("src/", 0) == 0)
+        files.push_back(f);
     }
     if (!err.empty()) {
       std::cerr << "o2k-lint: " << err << "\n";
