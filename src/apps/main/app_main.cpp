@@ -115,8 +115,6 @@ int run_and_report(rt::Machine& machine, int nprocs, const std::string& app, Mod
     meta.app = cp.app_slug;
     meta.model = model_slug(model);
     meta.nprocs = nprocs;
-    meta.backend =
-        machine.exec_backend() == rt::ExecBackend::kFibers ? "fibers" : "threads";
     meta.label = cp.label;
     meta.occurrence = cp.occurrence;
     scoped.emplace(machine,

@@ -38,6 +38,10 @@ void __asan_unpoison_memory_region(void const volatile* addr, size_t size);
 }
 #endif
 
+#if defined(O2K_EXEC_TSAN)
+#include <sanitizer/tsan_interface.h>
+#endif
+
 // ---------------------------------------------------------------------------
 // The raw switch.  C-callable:
 //
@@ -165,6 +169,8 @@ o2k_ctx_entry_thunk:
   .size o2k_ctx_entry_thunk, .-o2k_ctx_entry_thunk
 )");
 
+#else
+#error "o2k::exec: the fiber context switch exists only for x86-64 and aarch64"
 #endif  // arch
 
 extern "C" {
@@ -173,19 +179,6 @@ void o2k_ctx_entry_thunk();
 }
 
 namespace o2k::exec {
-
-bool fibers_supported() {
-#if defined(O2K_EXEC_TSAN)
-  // TSan's runtime tracks one stack per OS thread and cannot follow a
-  // hand-rolled stack switch; it would report every fiber migration as a
-  // data race.  rt::Machine falls back to the threads backend.
-  return false;
-#elif defined(__x86_64__) || defined(__aarch64__)
-  return true;
-#else
-  return false;
-#endif
-}
 
 // ---------------------------------------------------------------------------
 // FiberStack
@@ -265,14 +258,28 @@ void make_context(RawContext& ctx, const FiberStack& stack, ContextEntry entry) 
   frame[0] = reinterpret_cast<void*>(entry);  // x19 -> thunk target
   frame[11] = reinterpret_cast<void*>(&o2k_ctx_entry_thunk);  // x30
   ctx.sp = frame;
-#else
-  (void)entry;
-  throw std::runtime_error("o2k::exec: fibers unsupported on this architecture");
 #endif
   ctx.asan_fake_stack = nullptr;
+#if defined(O2K_EXEC_TSAN)
+  release_context(ctx);
+  ctx.tsan_fiber = __tsan_create_fiber(0);
+#endif
+}
+
+void release_context(RawContext& ctx) {
+#if defined(O2K_EXEC_TSAN)
+  if (ctx.tsan_fiber != nullptr) __tsan_destroy_fiber(ctx.tsan_fiber);
+  ctx.tsan_fiber = nullptr;
+#else
+  (void)ctx;
+#endif
 }
 
 void ctx_bind_host_stack(RawContext& ctx) {
+#if defined(O2K_EXEC_TSAN)
+  // The thread's own handle: TSan owns it, so it is never destroyed here.
+  ctx.tsan_fiber = __tsan_get_current_fiber();
+#endif
 #if defined(O2K_EXEC_ASAN)
   pthread_attr_t attr;
   if (pthread_getattr_np(pthread_self(), &attr) == 0) {
@@ -308,6 +315,9 @@ void* ctx_swap_to(RawContext& from, RawContext& to, void* arg, const FiberStack*
 #else
   (void)to_stack;
   (void)from_dying;
+#endif
+#if defined(O2K_EXEC_TSAN)
+  __tsan_switch_to_fiber(to.tsan_fiber, 0);
 #endif
   void* ret = o2k_ctx_swap(&from.sp, to.sp, arg);
   // Execution resumes here when somebody switches back into `from`.

@@ -12,23 +12,18 @@
 // Stacks are mmap'd with a PROT_NONE guard page below the usable region, so
 // an overflow faults deterministically instead of corrupting a neighbour.
 //
-// AddressSanitizer needs to be told about stack switches
-// (__sanitizer_start_switch_fiber / __sanitizer_finish_switch_fiber) or its
-// fake-stack bookkeeping misattributes frames; SwitchGuard carries those
-// annotations.  ThreadSanitizer's runtime cannot follow hand-rolled
-// switches at all, so fibers_supported() reports false under TSan and the
-// caller (rt::Machine) falls back to the thread-per-PE backend — see
-// DESIGN.md §2.2.
+// Sanitizers are told about every switch.  AddressSanitizer needs
+// __sanitizer_start_switch_fiber / __sanitizer_finish_switch_fiber or its
+// fake-stack bookkeeping misattributes frames.  ThreadSanitizer needs a
+// fiber handle per context and __tsan_switch_to_fiber before each switch,
+// or it would see one thread's accesses hop between stacks — see
+// DESIGN.md §2.2.  Other architectures fail to compile.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 
 namespace o2k::exec {
-
-/// True when this build/arch can run the fiber backend (x86-64 or aarch64,
-/// not ThreadSanitizer).  When false, FiberEngine must not be constructed.
-[[nodiscard]] bool fibers_supported();
 
 /// An mmap'd fiber stack: `usable` bytes of RW memory above one PROT_NONE
 /// guard page.  Not copyable; unmapped on destruction.
@@ -55,12 +50,14 @@ class FiberStack {
 /// saved stack pointer while suspended; for a host thread it is the state
 /// saved while the thread runs a fiber.  The asan_* fields carry the
 /// sanitizer fake-stack handle and the stack bounds ASan reported when this
-/// context was last suspended.
+/// context was last suspended; `tsan_fiber` is TSan's handle for the
+/// context (created by make_context, or the host thread's own).
 struct RawContext {
   void* sp = nullptr;
   void* asan_fake_stack = nullptr;
   const void* asan_stack_bottom = nullptr;
   std::size_t asan_stack_size = 0;
+  void* tsan_fiber = nullptr;
 };
 
 /// Entry function of a fresh context; receives the `arg` passed to the
@@ -70,11 +67,17 @@ using ContextEntry = void (*)(void*) /*noreturn*/;
 /// Prepare `ctx` so the first ctx_swap into it calls `entry(arg-of-swap)`
 /// on `stack`.  The frame-pointer chain is terminated so unwinders (and
 /// exception propagation inside the fiber) stop at the fiber's entry.
+/// Under TSan it replaces the context's fiber handle with a fresh one.
 void make_context(RawContext& ctx, const FiberStack& stack, ContextEntry entry);
 
-/// Record the calling OS thread's stack bounds in `ctx` so sanitizers can
-/// be pointed back at it when a fiber switches to this host context.
-/// No-op outside ASan builds.
+/// Release what make_context allocated for `ctx` (TSan's fiber handle).
+/// Only for a fiber context that is not running, never for a context bound
+/// with ctx_bind_host_stack.  No-op outside TSan builds.
+void release_context(RawContext& ctx);
+
+/// Record the calling OS thread's stack bounds (ASan) and fiber handle
+/// (TSan) in `ctx` so sanitizers can be pointed back at it when a fiber
+/// switches to this host context.
 void ctx_bind_host_stack(RawContext& ctx);
 
 /// Sanitizer bookkeeping for the arrival side of a switch.  Called

@@ -2,8 +2,6 @@
 
 #include <chrono>
 #include <cstdlib>
-#include <stdexcept>
-#include <string>
 #include <utility>
 
 #include "common/check.hpp"
@@ -44,15 +42,11 @@ int resolved_workers(int nprocs) {
 }
 
 FiberEngine::FiberEngine(std::size_t stack_bytes)
-    : stack_bytes_(stack_bytes != 0 ? stack_bytes : resolved_stack_bytes()) {
-  if (!fibers_supported()) {
-    throw std::runtime_error(
-        "o2k::exec: fiber backend unsupported in this build (TSan or unknown "
-        "architecture); use the threads backend");
-  }
-}
+    : stack_bytes_(stack_bytes != 0 ? stack_bytes : resolved_stack_bytes()) {}
 
-FiberEngine::~FiberEngine() = default;
+FiberEngine::~FiberEngine() {
+  for (auto& f : fibers_) release_context(f->ctx);
+}
 
 void FiberEngine::ensure_capacity(int nprocs) {
   while (fibers_.size() < static_cast<std::size_t>(nprocs)) {
@@ -167,9 +161,9 @@ void FiberEngine::worker_loop(RawContext& home) {
     {
       std::unique_lock<std::mutex> lk(mu_);
 #if defined(O2K_BOUNDED_WAITS)
-      // Debug fallback, mirroring the threads backend: never sleep
-      // unboundedly; periodically re-enqueue every parked fiber so a lost
-      // wakeup degrades to polling instead of a hang.
+      // Debug fallback: never sleep unboundedly; periodically re-enqueue
+      // every parked fiber so a lost wakeup degrades to polling instead of
+      // a hang.
       while (runq_.empty() && done_ != live_) {
         if (cv_.wait_for(lk, std::chrono::seconds(1)) == std::cv_status::timeout) {
           requeue_parked_locked();
@@ -194,9 +188,12 @@ void FiberEngine::worker_loop(RawContext& home) {
       // epoch: a waker that ran between the fiber's epoch read and this
       // store saw status != kParked and did not enqueue, so reclaim the
       // fiber here.  The CAS arbitrates against concurrent wakers so the
-      // fiber is resumed exactly once.
+      // fiber is resumed exactly once.  `park_epoch` is read before the
+      // store: from then on a waker may claim the fiber, another worker
+      // resume it, and the fiber park again and rewrite it.
+      const std::uint64_t parked_at = f->park_epoch;
       f->status.store(Fiber::kParked, std::memory_order_seq_cst);
-      if (f->epoch.load(std::memory_order_seq_cst) != f->park_epoch) {
+      if (f->epoch.load(std::memory_order_seq_cst) != parked_at) {
         int expected = Fiber::kParked;
         if (f->status.compare_exchange_strong(expected, Fiber::kActive,
                                               std::memory_order_seq_cst)) {
@@ -215,13 +212,14 @@ void FiberEngine::worker_loop_pinned(int wid) {
   tls_worker = TlsWorker{this, wid};
   while (pinned_done_.load(std::memory_order_acquire) != live_) {
     if (w.runnext == nullptr && w.localq.empty()) {
-      // Sleep eventcount: read the epoch, re-drain, and only then commit to
-      // the condvar — a producer always delivers before bumping the epoch,
-      // so either the re-drain sees the fiber or the epoch moved.  The
-      // run-next slot is local work too: nobody else can wake a worker
+      // Sleep eventcount: read the epoch, re-drain and re-check for the end
+      // of the run, and only then commit to the condvar — a producer always
+      // delivers (and the last finisher always counts itself) before
+      // bumping the epoch, so either a re-check sees it or the epoch moved.
+      // The run-next slot is local work too: nobody else can wake a worker
       // that sleeps on a filled slot.
       const std::uint64_t e = w.epoch.load(std::memory_order_seq_cst);
-      if (drain_into_local(w)) continue;
+      if (drain_into_local(w) || pinned_done_.load(std::memory_order_acquire) == live_) continue;
       std::unique_lock<std::mutex> lk(w.mu);
       w.sleeping.store(1, std::memory_order_seq_cst);
       if (w.epoch.load(std::memory_order_seq_cst) == e) {
@@ -255,8 +253,9 @@ void FiberEngine::worker_loop_pinned(int wid) {
         break;
       }
       // Same park/reclaim protocol as shared mode (see worker_loop).
+      const std::uint64_t parked_at = f->park_epoch;
       f->status.store(Fiber::kParked, std::memory_order_seq_cst);
-      if (f->epoch.load(std::memory_order_seq_cst) != f->park_epoch) {
+      if (f->epoch.load(std::memory_order_seq_cst) != parked_at) {
         int expected = Fiber::kParked;
         if (f->status.compare_exchange_strong(expected, Fiber::kActive,
                                               std::memory_order_seq_cst)) {

@@ -14,25 +14,25 @@
 //     SPSC mailboxes (exec/spsc.hpp) and a per-worker sleep eventcount, so
 //     the inter-domain hot path takes no lock; a same-worker wake puts the
 //     fiber in the worker's one-fiber run-next slot, which runs before the
-//     local queue.  Wakes from threads outside the pool (the threads
-//     backend never coexists, but user code may wake from helper threads)
-//     fall back to a small mutex-guarded overflow queue.
+//     local queue.  Wakes from threads outside the pool (user code may wake
+//     from helper threads) fall back to a small mutex-guarded overflow
+//     queue.
 //
 // The calling thread doubles as worker 0, so at M=1 a run spawns no
 // threads at all (this is what makes warm campaign forks sound).
 //
-// The engine exposes the same eventcount shape as rt::Machine's per-PE
-// wait slots, but parking suspends the *fiber* (a user-space context
-// switch back to its worker) and waking enqueues the fiber on a runnable
-// queue — no condvar signalling, no kernel involvement on the park/wake
-// hot path.  The lost-wakeup window is closed the same way as in the
-// threads backend, by an epoch re-check after the suspend is published:
+// Each fiber carries an eventcount: parking suspends the *fiber* (a
+// user-space context switch back to its worker) and waking enqueues the
+// fiber on a runnable queue — no condvar signalling, no kernel involvement
+// on the park/wake hot path.  The lost-wakeup window is closed by an epoch
+// re-check after the suspend is published:
 //
 //   parker (fiber):        waker (any fiber/thread):
 //     e = epoch              epoch.fetch_add(1)     [seq_cst]
 //     test predicate         if status == kParked
 //     park(e): switch out      and CAS(kParked -> kActive): enqueue
 //   parker's worker, after the switch:
+//     e = park_epoch         (read before the store below publishes it)
 //     status.store(kParked)  [seq_cst]
 //     if epoch != e and CAS(kParked -> kActive): resume in place
 //
@@ -47,9 +47,9 @@
 //
 // None of this carries timing information: a wake only means "re-evaluate
 // your predicate".  Virtual time is computed from the cost model alone, so
-// host scheduling (threads or fibers, any M, any pinning) cannot change
-// simulated results — the golden fixture and the DomainDeterminism suite
-// in tests/test_rt enforce this.
+// host scheduling (any M, shared or pinned) cannot change simulated
+// results — the golden fixture and the DomainDeterminism suite in
+// tests/test_rt enforce this.
 #pragma once
 
 #include <atomic>
@@ -99,7 +99,7 @@ class FiberEngine {
 
   /// Run body(rank) for every rank in [0, nprocs), each on its own fiber,
   /// and return when all have finished.  The engine is reusable: stacks
-  /// are pooled across runs.  Requires fibers_supported().
+  /// are pooled across runs.
   void run(int nprocs, const std::function<void(int)>& body) { run(nprocs, body, Plan{}); }
   void run(int nprocs, const std::function<void(int)>& body, const Plan& plan);
 
@@ -165,10 +165,10 @@ class FiberEngine {
     Fiber* runnext = nullptr;
     std::deque<Fiber*> localq;
     std::vector<SpscRing<Fiber*>> inbox;  ///< [producer worker] -> ring
-    // Sleep eventcount (same store-buffering-free protocol as the per-PE
-    // wait slots): producers bump `epoch` after delivering, and notify only
-    // when `sleeping` is set; the owner re-drains between the epoch read
-    // and the sleep.
+    // Sleep eventcount (the store-buffering-free protocol of the fibers'
+    // own epochs): producers bump `epoch` after delivering, and notify
+    // only when `sleeping` is set; between the epoch read and the sleep
+    // the owner re-drains and re-checks the run-wide completion count.
     std::atomic<std::uint64_t> epoch{0};
     std::atomic<int> sleeping{0};
     std::mutex mu;

@@ -65,16 +65,16 @@ struct Message {
   double rts_arrival_ns = 0.0;
 };
 
-/// Per-rank message queue.  Blocking receives park on the owner PE's wait
-/// slot; a sender enqueues under `mu` and then wakes the owner, whose
-/// matching predicate rescans the queue under `mu`.  The wait slot's epoch
-/// is the generation counter that closes the classic lost-wakeup window: a
-/// notify between the failed scan and the sleep bumps the epoch, so the
-/// receiver re-scans instead of sleeping (see Pe::park_until).
+/// Per-rank message queue.  Blocking receives park the owner PE's fiber; a
+/// sender enqueues under `mu` and then wakes the owner, whose matching
+/// predicate rescans the queue under `mu`.  The fiber's wait epoch is the
+/// generation counter that closes the classic lost-wakeup window: a wake
+/// between the failed scan and the park bumps the epoch, so the receiver
+/// re-scans instead of staying parked (see Pe::park_until).
 ///
-/// This locked representation is the fallback for runs that are not
-/// domain-serial (threads backend, shared-mode fibers, single-PE inline).
-/// Domain-serial runs use the sharded substrate below instead.
+/// This locked representation serves runs that are not domain-serial
+/// (shared-mode fibers, where any worker runs any rank, and single-PE
+/// inline runs).  Domain-serial runs use the sharded substrate below.
 struct Mailbox {
   std::mutex mu;
   std::deque<Message> q;

@@ -2,9 +2,8 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
-#include <string_view>
-#include <thread>
+#include <stdexcept>
+#include <string>
 
 #include "common/check.hpp"
 #include "common/env.hpp"
@@ -22,6 +21,13 @@ bool Pe::aborted() const { return machine_->aborted_.load(std::memory_order_rela
 
 void Pe::throw_if_aborted() const {
   if (aborted()) throw AbortError{};
+}
+
+void Pe::throw_blocked_alone() const {
+  throw std::logic_error("o2k::rt: PE " + std::to_string(rank_) +
+                         " of a 1-PE run blocked (phase " + current_phase_name() +
+                         ", t=" + std::to_string(clock_) +
+                         " ns): no other PE can wake it (deadlock)");
 }
 
 int Pe::domain_of(int rank) const { return machine_->domain_map_.domain_of(rank); }
@@ -106,37 +112,13 @@ void Pe::add_barrier_hook(BarrierHookFn fn, void* ctx) { machine_->add_barrier_h
 
 void Pe::checkpoint(const char* label) { machine_->checkpoint_point(*this, label); }
 
-void Pe::wake(int rank) { machine_->wake_slot(rank); }
+void Pe::wake(int rank) { machine_->wake_pe(rank); }
 
-void Pe::wake_all() { machine_->wake_all_slots(); }
+void Pe::wake_all() { machine_->wake_all_pes(); }
 
 Machine::Machine(origin::MachineParams params) : params_(params) {
   O2K_REQUIRE(params_.max_pes >= 1, "machine needs at least one PE");
   O2K_REQUIRE(params_.pes_per_node >= 1, "node needs at least one PE");
-}
-
-ExecBackend Machine::exec_backend() const {
-  ExecBackend requested;
-  if (backend_override_) {
-    requested = *backend_override_;
-  } else {
-    static const ExecBackend env_backend = [] {
-      const char* s = std::getenv("O2K_EXEC");
-      if (s != nullptr && *s != '\0') {
-        const std::string_view v{s};
-        if (v == "threads") return ExecBackend::kThreads;
-        if (v != "fibers") {
-          std::fprintf(stderr, "o2k: unknown O2K_EXEC=%s (want fibers|threads), using fibers\n",
-                       s);
-        }
-      }
-      return ExecBackend::kFibers;
-    }();
-    requested = env_backend;
-  }
-  if (requested == ExecBackend::kFibers && !exec::fibers_supported())
-    return ExecBackend::kThreads;
-  return requested;
 }
 
 int Machine::resolve_workers(int nprocs) const {
@@ -214,7 +196,7 @@ void Machine::checkpoint_point(Pe& pe, const char* label) {
     }
     c.generation.store(my_gen + 1, std::memory_order_release);
     lk.unlock();
-    wake_all_slots();
+    wake_all_pes();
     return;
   }
   lk.unlock();
@@ -222,17 +204,12 @@ void Machine::checkpoint_point(Pe& pe, const char* label) {
 }
 
 bool Machine::fork_safe(int rank) const {
-  if (run_nprocs_ == 1 && engine_ == nullptr) {
-    // Inline single-PE path: run() never spawned a thread.
-    return true;
-  }
-  if (engine_ != nullptr) {
-    // Fiber backend: one host worker (the calling thread) and every other
-    // fiber suspended means no concurrent execution exists to lose across
-    // fork(2).  (FiberEngine::run spawns workers()-1 threads.)
-    return engine_->workers() == 1 && engine_->quiescent_except(rank);
-  }
-  return false;  // threads backend, nprocs > 1: other OS threads exist
+  // Inline single-PE path: run() never spawned a thread.
+  if (engine_ == nullptr) return run_nprocs_ == 1;
+  // One host worker (the calling thread) and every other fiber suspended
+  // means no concurrent execution exists to lose across fork(2).
+  // (FiberEngine::run spawns workers()-1 threads.)
+  return engine_->workers() == 1 && engine_->quiescent_except(rank);
 }
 
 void Machine::record_error(std::exception_ptr e) {
@@ -244,28 +221,15 @@ void Machine::record_error(std::exception_ptr e) {
   // Unblock every parked PE; park_until rechecks aborted() and throws.
   // (The seq_cst epoch bump orders the aborted_ store before any woken
   // PE's re-check.)
-  wake_all_slots();
+  wake_all_pes();
 }
 
-void Machine::wake_slot(int rank) {
-  if (engine_ != nullptr) {
-    engine_->wake(rank);
-    return;
-  }
-  WaitSlot& s = *slots_[static_cast<std::size_t>(rank)];
-  s.epoch.fetch_add(1, std::memory_order_seq_cst);
-  if (s.parked.load(std::memory_order_seq_cst) != 0) {
-    std::scoped_lock lk(s.mu);
-    s.cv.notify_one();
-  }
+void Machine::wake_pe(int rank) {
+  if (engine_ != nullptr) engine_->wake(rank);
 }
 
-void Machine::wake_all_slots() {
-  if (engine_ != nullptr) {
-    engine_->wake_all();
-    return;
-  }
-  for (int r = 0; r < run_nprocs_; ++r) wake_slot(r);
+void Machine::wake_all_pes() {
+  if (engine_ != nullptr) engine_->wake_all();
 }
 
 RunResult Machine::run(int nprocs, const std::function<void(Pe&)>& body) {
@@ -289,8 +253,6 @@ RunResult Machine::run(int nprocs, const std::function<void(Pe&)>& body) {
   cp_seen_ = 0;
   cp_fired_.store(false, std::memory_order_relaxed);
   run_nprocs_ = nprocs;
-  while (slots_.size() < static_cast<std::size_t>(nprocs))
-    slots_.push_back(std::make_unique<WaitSlot>());
   aborted_.store(false, std::memory_order_relaxed);
   first_error_ = nullptr;
   {
@@ -312,7 +274,7 @@ RunResult Machine::run(int nprocs, const std::function<void(Pe&)>& body) {
     } catch (...) {
       record_error(std::current_exception());
     }
-  } else if (exec_backend() == ExecBackend::kFibers) {
+  } else {
     // M:N fibers: P PE fibers over min(P, hardware_concurrency) workers.
     // The engine (and its mmap'd stacks) is pooled across runs.
     if (!engine_storage_) engine_storage_ = std::make_unique<exec::FiberEngine>();
@@ -337,21 +299,6 @@ RunResult Machine::run(int nprocs, const std::function<void(Pe&)>& body) {
         },
         plan);
     engine_ = nullptr;
-  } else {
-    std::vector<std::thread> threads;
-    threads.reserve(static_cast<std::size_t>(nprocs));
-    for (int r = 0; r < nprocs; ++r) {
-      threads.emplace_back([this, &body, pe = pes_[static_cast<std::size_t>(r)].get()] {
-        try {
-          body(*pe);
-        } catch (const AbortError&) {
-          // Secondary failure caused by another PE's abort; ignore.
-        } catch (...) {
-          record_error(std::current_exception());
-        }
-      });
-    }
-    for (auto& t : threads) t.join();
   }
 
   if (first_error_) {

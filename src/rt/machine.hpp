@@ -1,15 +1,15 @@
 // The virtual-time execution substrate.
 //
-// A Machine hosts P simulated processors (PEs).  Each PE runs as a stackful
-// fiber multiplexed over a fixed host worker pool (o2k::exec::FiberEngine;
-// `O2K_EXEC=threads` selects the legacy thread-per-PE backend), but *all
-// timing is virtual*: computation and communication charge simulated
-// nanoseconds to per-PE clocks according to the Origin2000 cost model.
-// Wall-clock behaviour of the host (which may have a single core) is
-// therefore irrelevant to measured results; speedup curves emerge from the
-// machine model, exactly as DESIGN.md §2 prescribes — and the two execution
-// backends produce bit-identical virtual times, because wakeups carry no
-// timing information (DESIGN.md §2.2).
+// A Machine hosts P simulated processors (PEs).  Each PE of a multi-PE run
+// is a stackful fiber multiplexed over a fixed host worker pool
+// (o2k::exec::FiberEngine); a single-PE run executes inline.  *All timing
+// is virtual*: computation and communication charge simulated nanoseconds
+// to per-PE clocks according to the Origin2000 cost model.  Wall-clock
+// behaviour of the host (which may have a single core) is therefore
+// irrelevant to measured results; speedup curves emerge from the machine
+// model, exactly as DESIGN.md §2 prescribes — and every worker count and
+// scheduling mode produces bit-identical virtual times, because wakeups
+// carry no timing information (DESIGN.md §2.2).
 //
 // Synchronisation primitives keep virtual clocks causally consistent:
 //   * barrier(cost): every PE's clock becomes max(all clocks) + cost;
@@ -23,18 +23,16 @@
 // original exception.
 //
 // Waiting discipline (DESIGN.md §5): a blocked PE never polls on a timer.
-// It parks on its per-PE wait slot — an eventcount of {epoch, parked flag,
-// mutex, condvar} owned by the Machine — and the state-changing side calls
-// Pe::wake(rank) / wake_all() *after* publishing the state the waiter's
-// predicate reads.  Wakeups carry no timing information: they only cause
-// the predicate to be re-evaluated, and every virtual-clock update is
-// derived from values (release times, arrival times) computed from virtual
-// clocks alone, so host scheduling cannot alter simulated results.
+// It parks its fiber on the engine's per-fiber eventcount, and the
+// state-changing side calls Pe::wake(rank) / wake_all() *after* publishing
+// the state the waiter's predicate reads.  Wakeups carry no timing
+// information: they only cause the predicate to be re-evaluated, and every
+// virtual-clock update is derived from values (release times, arrival
+// times) computed from virtual clocks alone, so host scheduling cannot
+// alter simulated results.
 #pragma once
 
 #include <atomic>
-#include <chrono>
-#include <condition_variable>
 #include <exception>
 #include <functional>
 #include <memory>
@@ -55,12 +53,10 @@ namespace o2k::rt {
 
 class Machine;
 
-/// How Machine::run schedules PEs on the host.  Virtual-time results are
-/// identical either way; only host wall time differs.
-enum class ExecBackend {
-  kFibers,   ///< M:N stackful fibers on a fixed worker pool (default)
-  kThreads,  ///< one OS thread per PE (debugging, TSan)
-};
+/// How Machine::run schedules PEs on the host: always M:N stackful fibers
+/// on a fixed worker pool.  Kept, with Machine::exec_backend(), only for
+/// callers that still record the backend.
+enum class ExecBackend { kFibers };
 
 /// Thrown inside PEs whose run was aborted by another PE's exception.
 struct AbortError : std::runtime_error {
@@ -149,7 +145,7 @@ class Pe {
   /// every rank of a domain runs on that domain's single host worker.
   /// This is the soundness condition for the runtimes' lock-free
   /// domain-local fast paths (mp::World's sharded mailboxes).  False for
-  /// the threads backend, shared-mode fibers and single-PE inline runs.
+  /// shared-mode fibers and single-PE inline runs.
   [[nodiscard]] bool domain_serial() const;
 
   /// Pinned-mode worker id of the calling host thread (== the domain whose
@@ -198,7 +194,9 @@ class Pe {
   /// (e.g. claim the item that satisfied it) — it is re-evaluated only on
   /// wakeups, never on a timer.  Whoever mutates state a parked PE may be
   /// predicated on MUST call wake(rank)/wake_all() after the mutation.
-  /// Throws AbortError when the run was aborted while blocked.
+  /// Throws AbortError when the run was aborted while blocked, and
+  /// std::logic_error when a single-PE run would block: no other PE
+  /// exists to make `pred` true.
   template <class Pred>
   void park_until(Pred&& pred);
 
@@ -236,6 +234,10 @@ class Pe {
   Pe(int rank, int nprocs, const origin::MachineParams* params, Machine* m)
       : rank_(rank), nprocs_(nprocs), params_(params), machine_(m) {}
 
+  /// park_until's single-PE deadlock diagnosis: names the rank, the phase
+  /// and the virtual time.
+  [[noreturn]] void throw_blocked_alone() const;
+
   int rank_;
   int nprocs_;
   const origin::MachineParams* params_;
@@ -270,13 +272,8 @@ class Machine {
   void set_sink(metrics::Sink* sink) { sink_ = sink; }
   [[nodiscard]] metrics::Sink* sink() const { return sink_; }
 
-  /// Force an execution backend for subsequent runs (tests, benches), or
-  /// std::nullopt to return to the O2K_EXEC environment default.  A fibers
-  /// request silently degrades to threads in builds where fibers are
-  /// unsupported (TSan, exotic architectures).
-  void set_exec_backend(std::optional<ExecBackend> b) { backend_override_ = b; }
-  /// The backend the next run() will use, after env/support resolution.
-  [[nodiscard]] ExecBackend exec_backend() const;
+  /// The backend every run() uses.
+  [[nodiscard]] ExecBackend exec_backend() const { return ExecBackend::kFibers; }
 
   /// Force a synchronization-domain count for subsequent runs (tests,
   /// benches, the --workers CLI flag), or std::nullopt to return to the
@@ -331,28 +328,12 @@ class Machine {
 
   /// True when fork(2) from PE `rank`'s context is sound right now: the
   /// process is running this machine single-host-threaded (nprocs == 1
-  /// inline, or the fiber backend on one worker) and every other PE is
-  /// suspended.  The threads backend with nprocs > 1 is never fork-safe.
+  /// inline, or the fiber engine on one worker) and every other PE is
+  /// suspended.
   [[nodiscard]] bool fork_safe(int rank) const;
 
  private:
   friend class Pe;
-
-  /// One eventcount per PE: the only blocking primitive in the substrate.
-  ///
-  /// Waiter protocol (park_until): load `epoch`, test the predicate, then —
-  /// under `mu`, with `parked` set — sleep on `cv` until the epoch moved.
-  /// Waker protocol (wake_slot): bump `epoch`, and only if `parked` is set
-  /// take `mu` and notify.  Both `epoch` and `parked` accesses are seq_cst,
-  /// so the store-buffering interleaving (waiter misses the bump AND waker
-  /// misses the flag) is impossible; the parked==0 fast path makes a wake
-  /// of a running PE two uncontended atomic ops.
-  struct WaitSlot {
-    std::atomic<std::uint64_t> epoch{0};
-    std::atomic<int> parked{0};
-    std::mutex mu;
-    std::condition_variable cv;
-  };
 
   struct BarrierState {
     std::mutex mu;
@@ -390,28 +371,24 @@ class Machine {
 
   origin::MachineParams params_;
   metrics::Sink* sink_ = nullptr;
-  std::optional<ExecBackend> backend_override_;
   std::optional<int> workers_override_;
   DomainMap domain_map_;     ///< rank→domain partition of the current run
   int run_workers_ = 1;      ///< domains the current/last run uses
   int resolve_workers(int nprocs) const;
 
-  // Per-run state (valid while run() is active).  Slots grow monotonically
-  // and are never destroyed mid-run, so a PE may park on its slot at any
-  // point of the run.
+  // Per-run state (valid while run() is active).
   std::unique_ptr<BarrierState> barrier_;
   std::unique_ptr<CheckpointState> checkpoint_;
   std::vector<std::unique_ptr<Pe>> pes_;
-  std::vector<std::unique_ptr<WaitSlot>> slots_;
   int run_nprocs_ = 0;
   std::atomic<bool> aborted_{false};
   std::mutex error_mu_;
   std::exception_ptr first_error_;
 
-  // Fiber backend: the engine is pooled across runs (stacks are mmap'd
-  // once); `engine_` is non-null exactly while a fiber-backed multi-PE run
-  // is active, and routes park_until/wake through the fiber scheduler
-  // instead of the condvar wait slots.
+  // The engine is pooled across runs (stacks are mmap'd once); `engine_`
+  // is non-null exactly while a multi-PE run is active.  A single-PE run
+  // executes inline, where park_until has nothing to park on and wakes
+  // are no-ops.
   std::unique_ptr<exec::FiberEngine> engine_storage_;
   exec::FiberEngine* engine_ = nullptr;
 
@@ -429,40 +406,25 @@ class Machine {
   void checkpoint_point(Pe& pe, const char* label);
 
   void record_error(std::exception_ptr e);
-  void wake_slot(int rank);
-  void wake_all_slots();
+  void wake_pe(int rank);
+  void wake_all_pes();
 };
 
 template <class Pred>
 void Pe::park_until(Pred&& pred) {
-  // Fiber backend: parking is a user-space context switch back to the
-  // worker; a wake re-enqueues this PE's fiber.  Same eventcount protocol
-  // as the slot path below, no syscalls on the park/wake hot path.
-  if (exec::FiberEngine* eng = machine_->engine_) {
-    for (;;) {
-      const std::uint64_t e = eng->wait_epoch(rank_);
-      if (pred()) return;
-      throw_if_aborted();
-      eng->park(rank_, e);
-    }
+  // Parking is a user-space context switch back to the fiber's worker; a
+  // wake re-enqueues the fiber.  No syscalls on the park/wake hot path.
+  exec::FiberEngine* eng = machine_->engine_;
+  if (eng == nullptr) {
+    // Single-PE run, inline: nothing else can ever make `pred` true.
+    if (!pred()) throw_blocked_alone();
+    return;
   }
-  Machine::WaitSlot& slot = *machine_->slots_[static_cast<std::size_t>(rank_)];
   for (;;) {
-    const std::uint64_t e = slot.epoch.load(std::memory_order_seq_cst);
+    const std::uint64_t e = eng->wait_epoch(rank_);
     if (pred()) return;
     throw_if_aborted();
-    std::unique_lock lk(slot.mu);
-    slot.parked.store(1, std::memory_order_seq_cst);
-    if (slot.epoch.load(std::memory_order_seq_cst) == e) {
-#ifdef O2K_BOUNDED_WAITS
-      // Debug fallback: bounded sleep instead of an open-ended park, so a
-      // missing-wake bug degrades to slow polling instead of a hang.
-      slot.cv.wait_for(lk, std::chrono::seconds(1));
-#else
-      slot.cv.wait(lk, [&] { return slot.epoch.load(std::memory_order_relaxed) != e; });
-#endif
-    }
-    slot.parked.store(0, std::memory_order_relaxed);
+    eng->park(rank_, e);
   }
 }
 

@@ -278,9 +278,9 @@ void Team::wake_next_waiter() {
       }
     }
   }
-  // Wake outside dispatch_.mu: the waiter's predicate takes dispatch_.mu
-  // while parked on its own slot mutex, so waking under dispatch_.mu would
-  // invert the lock order.
+  // Wake outside dispatch_.mu: the waiter's predicate takes dispatch_.mu,
+  // so a wake under it could resume the waiter on another worker only to
+  // block that worker on the lock we still hold.
   if (best >= 0) pe_.wake(best);
 }
 
@@ -620,7 +620,7 @@ std::pair<std::size_t, std::size_t> Team::dynamic_next(std::size_t chunk) {
   // break by rank — including against *busy* PEs, which may still request
   // at exactly their mirrored clock (e.g. right after a barrier, when every
   // clock is equal) — so the chunk→PE map is a pure function of virtual
-  // time and rank, bit-reproducible across execution backends.
+  // time and rank, bit-reproducible across host schedules.
   auto may_go = [&] {
     if (d.next >= d.end) return true;  // drained while we waited
     for (int p = 0; p < size(); ++p) {

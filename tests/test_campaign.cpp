@@ -1,5 +1,5 @@
-// Tests for the campaign subsystem: snapshot write/verify round trips on
-// both exec backends, corruption/divergence detection, spec parsing, grid
+// Tests for the campaign subsystem: snapshot write/verify round trips across
+// worker counts, corruption/divergence detection, spec parsing, grid
 // expansion (warm grouping), and the hardened O2K_EXEC_* env parsing.
 #include <gtest/gtest.h>
 
@@ -16,7 +16,6 @@
 #include "apps/nbody_app.hpp"
 #include "campaign/campaign.hpp"
 #include "campaign/snapshot.hpp"
-#include "exec/context.hpp"
 #include "exec/engine.hpp"
 #include "rt/machine.hpp"
 
@@ -57,12 +56,13 @@ const char* marker_for(const std::string& app) {
   return "setup";
 }
 
-// Write a snapshot at the app's marker on `write_backend`, then verify it by
-// replay on `verify_backend`.  Passing proves (a) the rendezvous capture is
-// deterministic and (b) snapshots are portable across exec backends.
-void round_trip(const std::string& app, apps::Model model, rt::ExecBackend write_backend,
-                rt::ExecBackend verify_backend) {
-  const int p = 2;
+// Write a snapshot at the app's marker on `write_workers` synchronization
+// domains, then verify it by replay on `verify_workers`.  Passing proves
+// (a) the rendezvous capture is deterministic and (b) snapshots are
+// portable across worker counts.
+void round_trip(const std::string& app, apps::Model model, int write_workers,
+                int verify_workers) {
+  const int p = 4;  // two nodes, so two workers pin two domains
   const std::string slug = apps::model_slug(model);
   const std::string path = temp_path("snap_" + app + "_" + slug + ".snap");
   campaign::SnapshotMeta meta;
@@ -73,13 +73,13 @@ void round_trip(const std::string& app, apps::Model model, rt::ExecBackend write
   meta.occurrence = 1;
 
   rt::Machine m;
-  m.set_exec_backend(write_backend);
+  m.set_workers(write_workers);
   {
     campaign::ScopedCheckpoint cp(m, campaign::ScopedCheckpoint::Mode::kWrite, path, meta);
     run_small(app, model, m, p);
     cp.finish();
   }
-  m.set_exec_backend(verify_backend);
+  m.set_workers(verify_workers);
   {
     campaign::ScopedCheckpoint cp(m, campaign::ScopedCheckpoint::Mode::kVerify, path, meta);
     run_small(app, model, m, p);
@@ -88,31 +88,55 @@ void round_trip(const std::string& app, apps::Model model, rt::ExecBackend write
   fs::remove(path);
 }
 
-TEST(Snapshot, RoundTripNbodySasThreads) {
-  round_trip("nbody", apps::Model::kSas, rt::ExecBackend::kThreads,
-             rt::ExecBackend::kThreads);
+TEST(Snapshot, RoundTripNbodySasAcrossWorkers) {
+  round_trip("nbody", apps::Model::kSas, 1, 2);
+  round_trip("nbody", apps::Model::kSas, 2, 1);
 }
 
-TEST(Snapshot, RoundTripMeshMpThreads) {
-  round_trip("mesh", apps::Model::kMp, rt::ExecBackend::kThreads,
-             rt::ExecBackend::kThreads);
+TEST(Snapshot, RoundTripMeshMpAcrossWorkers) {
+  round_trip("mesh", apps::Model::kMp, 1, 2);
+  round_trip("mesh", apps::Model::kMp, 2, 1);
 }
 
-TEST(Snapshot, RoundTripDhtShmemThreads) {
-  round_trip("dht", apps::Model::kShmem, rt::ExecBackend::kThreads,
-             rt::ExecBackend::kThreads);
+TEST(Snapshot, RoundTripDhtShmemAcrossWorkers) {
+  round_trip("dht", apps::Model::kShmem, 1, 2);
+  round_trip("dht", apps::Model::kShmem, 2, 1);
 }
 
-TEST(Snapshot, RoundTripAcrossBackends) {
-  if (!exec::fibers_supported()) GTEST_SKIP() << "fiber backend unsupported here";
-  // Write under fibers, verify under threads and vice versa: virtual time
-  // and the captured state must be backend-invariant.
-  round_trip("nbody", apps::Model::kSas, rt::ExecBackend::kFibers,
-             rt::ExecBackend::kThreads);
-  round_trip("mesh", apps::Model::kMp, rt::ExecBackend::kThreads,
-             rt::ExecBackend::kFibers);
-  round_trip("dht", apps::Model::kShmem, rt::ExecBackend::kFibers,
-             rt::ExecBackend::kFibers);
+// Files written before the thread-per-PE backend was removed may record
+// `backend threads`; the line is still required but its value is ignored,
+// so such a snapshot still restores.
+TEST(Snapshot, RestoresFileRecordingThreadsBackend) {
+  const std::string path = temp_path("snap_threads_line.snap");
+  campaign::SnapshotMeta meta;
+  meta.app = "nbody";
+  meta.model = "sas";
+  meta.nprocs = 2;
+  meta.label = "step";
+
+  rt::Machine m;
+  {
+    campaign::ScopedCheckpoint cp(m, campaign::ScopedCheckpoint::Mode::kWrite, path, meta);
+    run_small("nbody", apps::Model::kSas, m, 2);
+    cp.finish();
+  }
+  std::string text;
+  {
+    std::ifstream in(path);
+    std::ostringstream ss;
+    ss << in.rdbuf();
+    text = ss.str();
+  }
+  const std::size_t at = text.find("\nbackend fibers\n");
+  ASSERT_NE(at, std::string::npos) << text.substr(0, 200);
+  text.replace(at, std::string("\nbackend fibers\n").size(), "\nbackend threads\n");
+  std::ofstream(path) << text;
+  {
+    campaign::ScopedCheckpoint cp(m, campaign::ScopedCheckpoint::Mode::kVerify, path, meta);
+    run_small("nbody", apps::Model::kSas, m, 2);
+    EXPECT_NO_THROW(cp.finish());
+  }
+  fs::remove(path);
 }
 
 TEST(Snapshot, TamperedFileRejected) {
@@ -124,7 +148,6 @@ TEST(Snapshot, TamperedFileRejected) {
   meta.label = "step";
 
   rt::Machine m;
-  m.set_exec_backend(rt::ExecBackend::kThreads);
   campaign::ScopedCheckpoint cp(m, campaign::ScopedCheckpoint::Mode::kWrite, path, meta);
   run_small("nbody", apps::Model::kSas, m, 2);
   cp.finish();
@@ -158,7 +181,6 @@ TEST(Snapshot, VerifyDetectsDivergentReplay) {
   meta.label = "step";
 
   rt::Machine m;
-  m.set_exec_backend(rt::ExecBackend::kThreads);
   {
     campaign::ScopedCheckpoint cp(m, campaign::ScopedCheckpoint::Mode::kWrite, path, meta);
     run_small("nbody", apps::Model::kSas, m, 2, /*scale=*/0);
@@ -183,7 +205,6 @@ TEST(Snapshot, WriteFailsIfMarkerNeverFires) {
   meta.label = "no-such-marker";
 
   rt::Machine m;
-  m.set_exec_backend(rt::ExecBackend::kThreads);
   campaign::ScopedCheckpoint cp(m, campaign::ScopedCheckpoint::Mode::kWrite, path, meta);
   run_small("nbody", apps::Model::kSas, m, 2);
   EXPECT_THROW(cp.finish(), campaign::SnapshotError);
@@ -205,7 +226,6 @@ TEST(CampaignSpec, ParsesFullGrammar) {
                                       "app nbody\n"
                                       "models mp,sas\n"
                                       "p 2,4\n"
-                                      "exec fibers,threads\n"
                                       "warm 1\n"
                                       "verify 1\n"
                                       "jobs 3\n"
@@ -215,7 +235,6 @@ TEST(CampaignSpec, ParsesFullGrammar) {
   EXPECT_EQ(spec.app, "nbody");
   EXPECT_EQ(spec.models, (std::vector<std::string>{"mp", "sas"}));
   EXPECT_EQ(spec.procs, (std::vector<int>{2, 4}));
-  EXPECT_EQ(spec.backends, (std::vector<std::string>{"fibers", "threads"}));
   EXPECT_TRUE(spec.warm);
   EXPECT_TRUE(spec.verify);
   EXPECT_EQ(spec.jobs, 3);
@@ -223,6 +242,23 @@ TEST(CampaignSpec, ParsesFullGrammar) {
   ASSERT_EQ(spec.sweeps.size(), 1u);
   EXPECT_EQ(spec.sweeps[0].first, "steps");
   fs::remove(path);
+
+  // The exec key went away with the thread-per-PE backend: a spec that
+  // still names it is rejected at its line.
+  const std::string exec_path = write_spec("spec_exec",
+                                           "schema o2k.campaign.v1\n"
+                                           "app nbody\n"
+                                           "models mp\n"
+                                           "exec fibers\n");
+  try {
+    (void)campaign::parse_spec(exec_path);
+    ADD_FAILURE() << "a spec with an exec line parsed";
+  } catch (const campaign::SpecError& e) {
+    EXPECT_NE(std::string(e.what()).find(exec_path + ":4: unknown directive 'exec'"),
+              std::string::npos)
+        << e.what();
+  }
+  fs::remove(exec_path);
 }
 
 TEST(CampaignSpec, RejectsMissingSchemaAndBadDirectives) {
@@ -281,7 +317,7 @@ TEST(CampaignSpec, WarmGroupsBranchableSweeps) {
   EXPECT_EQ(warm[0].cp_label, "step");
   for (const auto& u : warm[0].units) EXPECT_EQ(u.overlay.count("nbody.steps"), 1u);
 
-  // Host without fibers: same grid, all cold singleton groups.
+  // Warm forking off (--no-warm): same grid, all cold singleton groups.
   const auto cold = campaign::expand(spec, /*allow_warm=*/false);
   EXPECT_EQ(cold.size(), 3u);
   for (const auto& g : cold) {

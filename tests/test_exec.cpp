@@ -25,7 +25,6 @@ void park_until(FiberEngine& eng, int rank, const std::atomic<bool>& flag) {
 // same-worker wake runs next and the one it displaced follows, so the
 // finishing order is 2, 1, 0 (plain FIFO would give 2, 0, 1).
 TEST(FiberEnginePinned, LatestSameWorkerWakeRunsNext) {
-  if (!fibers_supported()) GTEST_SKIP() << "fibers unsupported in this build";
   FiberEngine eng;
   std::vector<std::atomic<bool>> go(2);
   std::vector<int> order;
@@ -52,7 +51,6 @@ TEST(FiberEnginePinned, LatestSameWorkerWakeRunsNext) {
 // cross workers.  The run must end with every rank released, and the
 // engine must be reusable for a second run.
 TEST(FiberEnginePinned, RelayAcrossWorkersCompletes) {
-  if (!fibers_supported()) GTEST_SKIP() << "fibers unsupported in this build";
   constexpr int kP = 16;
   const std::vector<int> affinity{0, 0, 0, 1, 1, 0, 1, 1, 0, 1, 0, 0, 1, 1, 1, 0};
   FiberEngine eng;

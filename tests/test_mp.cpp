@@ -335,16 +335,16 @@ INSTANTIATE_TEST_SUITE_P(ProcCounts, MpCollectives, ::testing::Values(1, 2, 3, 4
 // down the ranks — the chain a pinned worker's run-next slot reorders.
 // Rank-skewed work between two rounds makes receivers and senders park in
 // both orders.  Payloads must arrive intact and the per-PE clocks must not
-// move with the worker count or the backend.
+// move with the worker count.  "Backends" in the name is historical (the
+// deleted thread-per-PE backend); only the worker count varies now.
 TEST(MpRendezvousCollectives, AlltoallvBitIdenticalAcrossWorkersAndBackends) {
   const auto value = [](int src, int dst, std::size_t i) {
     return static_cast<int>((static_cast<std::size_t>(src * 64 + dst) << 16) + i);
   };
   for (const int p : {8, 16}) {
     SCOPED_TRACE("P=" + std::to_string(p));
-    const auto run_with = [&](rt::ExecBackend b, int workers) {
+    const auto run_with = [&](int workers) {
       rt::Machine m;
-      m.set_exec_backend(b);
       m.set_workers(workers);
       World w(m.params(), p);
       const std::size_t n = m.params().mp_eager_bytes / sizeof(int) + 1;
@@ -368,13 +368,8 @@ TEST(MpRendezvousCollectives, AlltoallvBitIdenticalAcrossWorkersAndBackends) {
         }
       }).pe_ns;
     };
-    const auto base = run_with(rt::ExecBackend::kFibers, 1);
-    for (const auto b : {rt::ExecBackend::kFibers, rt::ExecBackend::kThreads}) {
-      for (const int w : {1, 2, 4}) {
-        EXPECT_EQ(base, run_with(b, w))
-            << (b == rt::ExecBackend::kFibers ? "fibers" : "threads") << " workers=" << w;
-      }
-    }
+    const auto base = run_with(1);
+    for (const int w : {1, 2, 4}) EXPECT_EQ(base, run_with(w)) << "workers=" << w;
   }
 }
 
@@ -441,21 +436,23 @@ TEST_P(MpWakeupStress, ShuffledManyTagManyRank) {
   EXPECT_EQ(r1.pe_ns, r2.pe_ns);
 }
 
-// Backend equivalence under wakeup races: the fiber engine and thread-per-PE
-// must produce identical virtual clocks for the same stress program, and the
-// fiber engine must be reproducible against itself.
+// Schedule equivalence under wakeup races: the shared-queue engine must be
+// reproducible against itself and produce the same virtual clocks as pinned
+// runs on two and four workers (clamped to the run's node count).  The
+// name is historical: the test used to compare fibers with the deleted
+// thread-per-PE backend.
 TEST_P(MpWakeupStress, FibersMatchThreadsAndRepeatedRuns) {
   const int p = GetParam();
-  rt::Machine m;
-  World wf1(m.params(), p), wf2(m.params(), p), wt(m.params(), p);
-  m.set_exec_backend(rt::ExecBackend::kFibers);
-  const auto f1 = m.run(p, shuffled_stress_body(wf1, p));
-  const auto f2 = m.run(p, shuffled_stress_body(wf2, p));
-  m.set_exec_backend(rt::ExecBackend::kThreads);
-  const auto t = m.run(p, shuffled_stress_body(wt, p));
-  m.set_exec_backend(std::nullopt);
-  EXPECT_EQ(f1.pe_ns, f2.pe_ns);
-  EXPECT_EQ(f1.pe_ns, t.pe_ns);
+  const auto run_with = [p](int workers) {
+    rt::Machine m;
+    m.set_workers(std::min(workers, p));
+    World w(m.params(), p);
+    return m.run(p, shuffled_stress_body(w, p)).pe_ns;
+  };
+  const auto shared = run_with(1);
+  EXPECT_EQ(shared, run_with(1));
+  EXPECT_EQ(shared, run_with(2));
+  EXPECT_EQ(shared, run_with(4));
 }
 
 // Wake-during-reschedule: zero-work ping-pong makes every recv park and
@@ -486,7 +483,6 @@ TEST_P(MpWakeupStress, FibersWakeDuringReschedule) {
   };
   ASSERT_EQ(setenv("O2K_EXEC_WORKERS", "4", /*overwrite=*/1), 0);
   rt::Machine m;
-  m.set_exec_backend(rt::ExecBackend::kFibers);
   World w1(m.params(), p), w2(m.params(), p);
   const auto r1 = m.run(p, body(w1));
   const auto r2 = m.run(p, body(w2));
@@ -503,7 +499,6 @@ INSTANTIATE_TEST_SUITE_P(ProcCounts, MpWakeupStress, ::testing::Values(2, 4, 8, 
 TEST(MpFiberAbort, AbortUnwindsAcrossParkedFibers) {
   constexpr int kP = 64;
   rt::Machine m;
-  m.set_exec_backend(rt::ExecBackend::kFibers);
   World w(m.params(), kP);
   EXPECT_THROW(m.run(kP,
                      [&w](rt::Pe& pe) {
@@ -524,7 +519,28 @@ TEST(MpFiberAbort, AbortUnwindsAcrossParkedFibers) {
     comm.barrier();
   });
   EXPECT_EQ(rr.nprocs, kP);
-  m.set_exec_backend(std::nullopt);
+}
+
+// A single-PE run executes inline, with no engine to park on, and no other
+// PE exists to send: a receive that nothing can satisfy must fail the run
+// with a diagnosis (rank, phase, virtual time) instead of hanging.
+TEST(MpSinglePe, BlockedRecvThrowsInsteadOfHanging) {
+  rt::Machine m;
+  World w(m.params(), 1);
+  try {
+    m.run(1, [&w](rt::Pe& pe) {
+      Comm comm(w, pe);
+      const auto scope = pe.phase("exchange");
+      pe.advance(250.0);
+      (void)comm.recv_value<int>(0, /*tag=*/99);
+    });
+    FAIL() << "a blocked single-PE receive returned";
+  } catch (const std::logic_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("PE 0"), std::string::npos) << what;
+    EXPECT_NE(what.find("exchange"), std::string::npos) << what;
+    EXPECT_NE(what.find("t=250"), std::string::npos) << what;
+  }
 }
 
 }  // namespace

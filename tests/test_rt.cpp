@@ -365,61 +365,19 @@ TEST(SubstrateGolden, AppRunsMatchPreChangeFixtureAndSinkIsNeutral) {
   }
 }
 
-// P=64 backend determinism: at full machine width, every measured value —
-// clocks, phase aggregates, counters — must be identical across the fiber
-// engine and thread-per-PE, and across repeated fiber runs, for every app
-// and model (mesh/CC-SAS included — see the note above cases()).
+// P=64 schedule determinism: at full machine width, every measured value —
+// clocks, phase aggregates, counters — must be identical across repeated
+// shared-queue runs (one domain, any worker runs any fiber) and a pinned
+// four-domain run, for every app and model (mesh/CC-SAS included — see the
+// note above cases()).  "Backend" in the name is historical: the test used
+// to compare the fiber engine with a thread-per-PE backend, since deleted.
 TEST(SubstrateGolden, P64BackendDeterminism) {
   for (const char* app : {"nbody", "mesh", "dht"}) {
     for (auto model : {apps::Model::kMp, apps::Model::kShmem, apps::Model::kSas}) {
       const golden::Case c{app, model, 64};
       SCOPED_TRACE(golden::case_key(c));
-      auto run_with = [&](std::optional<ExecBackend> b) {
+      auto run_with = [&](int workers) {
         Machine machine;
-        machine.set_exec_backend(b);
-        if (std::string(c.app) == "nbody") {
-          apps::NbodyConfig cfg;
-          cfg.n = 2048;
-          cfg.steps = 2;
-          return golden::canonical(apps::run_nbody(c.model, machine, c.p, cfg).run);
-        }
-        if (std::string(c.app) == "dht") {
-          return golden::canonical(
-              apps::run_dht(c.model, machine, c.p, golden::dht_smoke_config()).run);
-        }
-        apps::MeshConfig cfg;
-        cfg.nx = cfg.ny = cfg.nz = 6;
-        cfg.phases = 2;
-        return golden::canonical(apps::run_mesh(c.model, machine, c.p, cfg).run);
-      };
-      const std::string fibers1 = run_with(ExecBackend::kFibers);
-      const std::string fibers2 = run_with(ExecBackend::kFibers);
-      const std::string threads = run_with(ExecBackend::kThreads);
-      EXPECT_EQ(fibers1, fibers2) << "fiber engine not reproducible";
-      EXPECT_EQ(fibers1, threads) << "backends disagree on virtual time";
-    }
-  }
-}
-
-// ---------------------------------------------------------------------------
-// DomainDeterminism: sharding a run into synchronization domains
-// (O2K_WORKERS, DESIGN.md §11) is a host-side scheduling decision and must
-// not move any measured value.  Every golden case must reproduce
-// bit-identically across worker counts {1, 2, 3, 4} under both execution
-// backends — the workers=1 fibers result is itself pinned to the committed
-// fixture by SubstrateGolden above, so equality here chains all the way
-// back to the pre-change substrate.  At P=8 the 4 nodes split 2/1/1 over
-// three domains, so the staged barrier combines stages of unequal size.
-// ---------------------------------------------------------------------------
-
-TEST(DomainDeterminism, GoldenCasesBitIdenticalAcrossWorkersAndBackends) {
-  for (const char* app : {"nbody", "mesh", "dht"}) {
-    for (auto model : {apps::Model::kMp, apps::Model::kShmem, apps::Model::kSas}) {
-      const golden::Case c{app, model, 8};  // 4 nodes -> up to 4 domains
-      SCOPED_TRACE(golden::case_key(c));
-      auto run_with = [&](ExecBackend b, int workers) {
-        Machine machine;
-        machine.set_exec_backend(b);
         machine.set_workers(workers);
         if (std::string(c.app) == "nbody") {
           apps::NbodyConfig cfg;
@@ -436,13 +394,53 @@ TEST(DomainDeterminism, GoldenCasesBitIdenticalAcrossWorkersAndBackends) {
         cfg.phases = 2;
         return golden::canonical(apps::run_mesh(c.model, machine, c.p, cfg).run);
       };
-      const std::string base = run_with(ExecBackend::kFibers, 1);
-      for (auto b : {ExecBackend::kFibers, ExecBackend::kThreads}) {
-        for (int w : {1, 2, 3, 4}) {
-          EXPECT_EQ(base, run_with(b, w))
-              << "virtual time moved under backend=" << (b == ExecBackend::kFibers ? "fibers" : "threads")
-              << " workers=" << w;
+      const std::string shared1 = run_with(1);
+      const std::string shared2 = run_with(1);
+      const std::string pinned = run_with(4);
+      EXPECT_EQ(shared1, shared2) << "shared-queue schedule not reproducible";
+      EXPECT_EQ(shared1, pinned) << "shared and pinned schedules disagree on virtual time";
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// DomainDeterminism: sharding a run into synchronization domains
+// (O2K_WORKERS, DESIGN.md §11) is a host-side scheduling decision and must
+// not move any measured value.  Every golden case must reproduce
+// bit-identically across worker counts {1, 2, 3, 4} — the workers=1 result
+// is itself pinned to the committed fixture by SubstrateGolden above, so
+// equality here chains all the way back to the pre-change substrate.  At P=8 the 4 nodes split 2/1/1 over
+// three domains, so the staged barrier combines stages of unequal size.
+// "Backends" in the first test's name is historical (the deleted
+// thread-per-PE backend); only the worker count varies now.
+// ---------------------------------------------------------------------------
+
+TEST(DomainDeterminism, GoldenCasesBitIdenticalAcrossWorkersAndBackends) {
+  for (const char* app : {"nbody", "mesh", "dht"}) {
+    for (auto model : {apps::Model::kMp, apps::Model::kShmem, apps::Model::kSas}) {
+      const golden::Case c{app, model, 8};  // 4 nodes -> up to 4 domains
+      SCOPED_TRACE(golden::case_key(c));
+      auto run_with = [&](int workers) {
+        Machine machine;
+        machine.set_workers(workers);
+        if (std::string(c.app) == "nbody") {
+          apps::NbodyConfig cfg;
+          cfg.n = 2048;
+          cfg.steps = 2;
+          return golden::canonical(apps::run_nbody(c.model, machine, c.p, cfg).run);
         }
+        if (std::string(c.app) == "dht") {
+          return golden::canonical(
+              apps::run_dht(c.model, machine, c.p, golden::dht_smoke_config()).run);
+        }
+        apps::MeshConfig cfg;
+        cfg.nx = cfg.ny = cfg.nz = 6;
+        cfg.phases = 2;
+        return golden::canonical(apps::run_mesh(c.model, machine, c.p, cfg).run);
+      };
+      const std::string base = run_with(1);
+      for (int w : {1, 2, 3, 4}) {
+        EXPECT_EQ(base, run_with(w)) << "virtual time moved under workers=" << w;
       }
     }
   }
@@ -458,9 +456,8 @@ TEST(DomainDeterminism, GoldenCasesBitIdenticalAcrossWorkersAndBackends) {
 TEST(DomainDeterminism, CrossDomainAnyTagWakeStress) {
   constexpr int kP = 8;
   constexpr int kMsgs = 200;
-  auto run_with = [&](ExecBackend b, int workers) {
+  auto run_with = [&](int workers) {
     Machine machine;
-    machine.set_exec_backend(b);
     machine.set_workers(workers);
     mp::World w(machine.params(), kP);
     std::vector<std::uint64_t> sums(kP, 0);
@@ -484,21 +481,17 @@ TEST(DomainDeterminism, CrossDomainAnyTagWakeStress) {
     return std::pair(golden::canonical(rr), sums);
   };
 
-  const auto [base, base_sums] = run_with(ExecBackend::kFibers, 1);
+  const auto [base, base_sums] = run_with(1);
   for (int me = 0; me < kP; ++me) {
     const std::uint64_t peer = static_cast<std::uint64_t>((me + kP / 2) % kP);
     const std::uint64_t expect =
         kMsgs * peer * 100000 + std::uint64_t{kMsgs} * (kMsgs - 1) / 2;
     EXPECT_EQ(base_sums[static_cast<std::size_t>(me)], expect) << "rank " << me;
   }
-  for (auto b : {ExecBackend::kFibers, ExecBackend::kThreads}) {
-    for (int w : {1, 2, 3, 4}) {
-      const auto [canon, sums] = run_with(b, w);
-      EXPECT_EQ(base, canon)
-          << "virtual time moved under backend=" << (b == ExecBackend::kFibers ? "fibers" : "threads")
-          << " workers=" << w;
-      EXPECT_EQ(base_sums, sums);
-    }
+  for (int w : {1, 2, 3, 4}) {
+    const auto [canon, sums] = run_with(w);
+    EXPECT_EQ(base, canon) << "virtual time moved under workers=" << w;
+    EXPECT_EQ(base_sums, sums);
   }
 }
 

@@ -1,16 +1,11 @@
 // o2k-lint — project-specific static invariant checks for the o2k codebase.
 //
 // The simulator's correctness story rests on invariants the compiler cannot
-// see: bit-exact virtual times across exec backends and worker counts,
-// fiber paths with no blocking syscalls, fork-safe checkpoint stems, and
-// SAS accesses visible to the race detector.  This engine enforces them at
+// see: bit-exact virtual times across schedules and worker counts, fiber
+// paths with no blocking syscalls, fork-safe checkpoint stems, and SAS
+// accesses visible to the race detector.  This engine enforces them at
 // lint time, over source text, with no dependency beyond the C++20
-// standard library — so the gate runs on any
-// build host, including ones without Clang development headers.  A Clang
-// LibTooling frontend (tools/o2k-lint/clang/) adds AST-level precision for
-// a subset of the checks when a Clang dev install is available; both
-// frontends share check names, the NOLINT convention and the baseline
-// format (DESIGN.md §12).
+// standard library — so the gate runs on any build host (DESIGN.md §12).
 //
 // Checks:
 //   o2k-nondeterminism  wall clocks, rand/random_device, pointer-keyed
