@@ -98,19 +98,21 @@ AppReport run_nbody_mp(rt::Machine& machine, int nprocs, const NbodyConfig& cfg)
         const auto counts = comm.allgather<std::int64_t>(static_cast<std::int64_t>(owned.size()));
         const auto recs = comm.allgatherv<BalRec>(mine);
 
-        std::vector<plum::Element> el(recs.size());
-        for (std::size_t i = 0; i < recs.size(); ++i) {
-          el[i] = {Vec3(recs[i].x, recs[i].y, recs[i].z), std::max(1.0, recs[i].w)};
-        }
         // Charged as a *parallel* ORB (each PE bisects its share per level,
         // as Salmon's method does); the functional result is computed
         // redundantly from the replicated cloud.
         pe.advance(static_cast<double>(recs.size()) / P * rib_levels(P) *
                    kc.partition_vertex_ns);
         // Every PE holds the same allgathered cloud (rank order), so the
-        // replicated ORB result is shared instead of recomputed P times.
-        const auto new_owner_sp =
-            owner_cache.get(static_cast<std::uint64_t>(step), [&] { return plum::rib_partition(el, P); });
+        // replicated ORB result, and its input, is built once instead of P
+        // times.
+        const auto new_owner_sp = owner_cache.get(static_cast<std::uint64_t>(step), [&] {
+          std::vector<plum::Element> el(recs.size());
+          for (std::size_t i = 0; i < recs.size(); ++i) {
+            el[i] = {Vec3(recs[i].x, recs[i].y, recs[i].z), std::max(1.0, recs[i].w)};
+          }
+          return plum::rib_partition(el, P);
+        });
         const auto& new_owner = *new_owner_sp;
 
         std::size_t off = 0;

@@ -104,16 +104,18 @@ AppReport run_nbody_shmem(rt::Machine& machine, int nprocs, const NbodyConfig& c
         std::size_t off = 0;
         for (int r = 0; r < me; ++r) off += static_cast<std::size_t>(counts[static_cast<std::size_t>(r)]);
 
-        std::vector<plum::Element> el(recs.size());
-        for (std::size_t i = 0; i < recs.size(); ++i) {
-          el[i] = {Vec3(recs[i].x, recs[i].y, recs[i].z), std::max(1.0, recs[i].w)};
-        }
         // Parallel-ORB charge; see the MP code.
         pe.advance(static_cast<double>(recs.size()) / P * rib_levels *
                    kc.partition_vertex_ns);
-        // Identical allgathered cloud on every PE: share the ORB result.
-        const auto new_owner_sp =
-            owner_cache.get(static_cast<std::uint64_t>(step), [&] { return plum::rib_partition(el, P); });
+        // Identical allgathered cloud on every PE: build the ORB input and
+        // result once and share them.
+        const auto new_owner_sp = owner_cache.get(static_cast<std::uint64_t>(step), [&] {
+          std::vector<plum::Element> el(recs.size());
+          for (std::size_t i = 0; i < recs.size(); ++i) {
+            el[i] = {Vec3(recs[i].x, recs[i].y, recs[i].z), std::max(1.0, recs[i].w)};
+          }
+          return plum::rib_partition(el, P);
+        });
         const auto& new_owner = *new_owner_sp;
 
         std::vector<std::vector<Body>> sendbufs(static_cast<std::size_t>(P));

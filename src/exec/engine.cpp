@@ -241,6 +241,7 @@ void FiberEngine::worker_loop_pinned(int wid) {
     }
     for (;;) {
       f->home = &w.ctx;
+      w.running = f;
       ctx_swap_to(w.ctx, f->ctx, f, f->stack.get());
       if (f->reason == Fiber::kDone) {
         // Completion is counted run-wide; the last finisher pokes every
@@ -250,6 +251,12 @@ void FiberEngine::worker_loop_pinned(int wid) {
             if (o != wid) notify_worker(*wstates_[static_cast<std::size_t>(o)]);
           }
         }
+        break;
+      }
+      if (f->reason == Fiber::kYield) {
+        // hand_off: the fiber it woke sits in the run-next slot; the caller
+        // (still kActive, never parked) resumes right after it.
+        w.localq.push_front(f);
         break;
       }
       // Same park/reclaim protocol as shared mode (see worker_loop).
@@ -313,7 +320,7 @@ void FiberEngine::notify_worker(WorkerState& w) {
   }
 }
 
-void FiberEngine::deliver(Fiber* f) {
+bool FiberEngine::deliver(Fiber* f) {
   const int dst = workers_used_ == 1 ? 0 : affinity_[f->rank];
   WorkerState& w = *wstates_[static_cast<std::size_t>(dst)];
   const TlsWorker t = tls_worker;
@@ -327,7 +334,7 @@ void FiberEngine::deliver(Fiber* f) {
     // before the chain moves on, while partners on other workers sleep.
     if (w.runnext != nullptr) w.localq.push_back(w.runnext);
     w.runnext = f;
-    return;
+    return true;
   }
   if (t.eng == this) {
     w.inbox[static_cast<std::size_t>(t.wid)].push(f);
@@ -337,22 +344,33 @@ void FiberEngine::deliver(Fiber* f) {
     w.ext_pending.store(1, std::memory_order_release);
   }
   notify_worker(w);
+  return false;
 }
 
-void FiberEngine::wake(int rank) {
+bool FiberEngine::wake_fiber(int rank) {
   Fiber* f = fibers_[static_cast<std::size_t>(rank)].get();
   f->epoch.fetch_add(1, std::memory_order_seq_cst);
   if (f->status.load(std::memory_order_seq_cst) == Fiber::kParked) {
     int expected = Fiber::kParked;
     if (f->status.compare_exchange_strong(expected, Fiber::kActive,
                                           std::memory_order_seq_cst)) {
-      if (pinned_) {
-        deliver(f);
-      } else {
-        enqueue(f);
-      }
+      if (pinned_) return deliver(f);
+      enqueue(f);
     }
   }
+  return false;
+}
+
+void FiberEngine::wake(int rank) { (void)wake_fiber(rank); }
+
+void FiberEngine::hand_off(int rank) {
+  if (!wake_fiber(rank)) return;
+  // The wakee is in this worker's run-next slot.  An eager MP send never
+  // parks, so without this switch the wakee would wait for the caller's
+  // whole next compute phase (DESIGN.md §2.2).
+  Fiber* self = wstates_[static_cast<std::size_t>(tls_worker.wid)]->running;
+  self->reason = Fiber::kYield;
+  ctx_swap_to(self->ctx, *self->home, nullptr, nullptr);
 }
 
 void FiberEngine::wake_all() {

@@ -14,9 +14,11 @@
 //     SPSC mailboxes (exec/spsc.hpp) and a per-worker sleep eventcount, so
 //     the inter-domain hot path takes no lock; a same-worker wake puts the
 //     fiber in the worker's one-fiber run-next slot, which runs before the
-//     local queue.  Wakes from threads outside the pool (user code may wake
-//     from helper threads) fall back to a small mutex-guarded overflow
-//     queue.
+//     local queue.  hand_off() is a wake that also switches the waker out
+//     when it filled its own worker's slot, so the wakee runs now and the
+//     waker right after it (Cilk's work-first rule).  Wakes from threads
+//     outside the pool (user code may wake from helper threads) fall back
+//     to a small mutex-guarded overflow queue.
 //
 // The calling thread doubles as worker 0, so at M=1 a run spawns no
 // threads at all (this is what makes warm campaign forks sound).
@@ -117,6 +119,14 @@ class FiberEngine {
   /// its runnable queue.  Callable from any fiber or host thread.
   void wake(int rank);
 
+  /// wake(rank), and in pinned mode, when that put the fiber in the calling
+  /// worker's run-next slot, also switch the caller out: its worker puts it
+  /// at the front of the local queue, so it resumes right after the woken
+  /// fiber.  Anywhere else (shared mode, a cross-worker wake, a caller
+  /// outside the pool, a target that was not parked) it is a plain wake.
+  /// The caller must hold no host lock, as for park().
+  void hand_off(int rank);
+
   /// Wake every rank of the current run.
   void wake_all();
 
@@ -139,7 +149,7 @@ class FiberEngine {
  private:
   struct Fiber {
     enum Status : int { kActive = 0, kParked = 1 };
-    enum Reason : int { kPark = 0, kDone = 1 };
+    enum Reason : int { kPark = 0, kDone = 1, kYield = 2 };
 
     RawContext ctx;             ///< fiber state while suspended
     RawContext* home = nullptr; ///< worker context to switch back to
@@ -152,14 +162,15 @@ class FiberEngine {
     std::atomic<int> status{kActive};
   };
 
-  /// Pinned-mode per-worker state.  `runnext`, `localq` and the inbox
-  /// consumer cursors are owner-only; producers touch the inbox producer
+  /// Pinned-mode per-worker state.  `running`, `runnext`, `localq` and the
+  /// inbox consumer cursors are owner-only; producers touch the inbox producer
   /// cursors, the overflow queue (under its mutex) and the sleep eventcount.
   /// Fiber completion is tracked by one run-wide counter (`pinned_done_`):
   /// every worker loops until the whole run is done, so the last finisher,
   /// on whichever worker, is what ends every loop.
   struct WorkerState {
     RawContext ctx;
+    Fiber* running = nullptr;  ///< the fiber last switched to (hand_off's caller)
     /// The fiber most recently woken by one of this worker's own fibers; it
     /// runs before `localq` (Go's runnext).  See deliver().
     Fiber* runnext = nullptr;
@@ -182,8 +193,9 @@ class FiberEngine {
   static void fiber_main(void* arg);  // ContextEntry
   void worker_loop(RawContext& home);             // shared mode
   void worker_loop_pinned(int wid);               // pinned mode
+  bool wake_fiber(int rank);                      // wake; true if it filled our run-next
   void enqueue(Fiber* f);                         // shared-mode runq push
-  void deliver(Fiber* f);                         // pinned-mode routing
+  bool deliver(Fiber* f);                         // pinned-mode routing
   void notify_worker(WorkerState& w);
   bool drain_into_local(WorkerState& w);
   void requeue_parked_locked();

@@ -164,6 +164,7 @@ Comm::Comm(World& world, rt::Pe& pe) : world_(world), pe_(pe) {
 
 void Comm::enqueue_msg(int dst, detail::Message&& m) {
   World& w = world_;
+  const bool rendezvous = m.rdv != nullptr;
   if (w.sharded_) {
     // The owner worker of dst's queue is its domain (pinned mode: domain d
     // == worker d); the calling worker's id doubles as the producer index
@@ -183,7 +184,14 @@ void Comm::enqueue_msg(int dst, detail::Message&& m) {
     std::scoped_lock lk(box.mu);
     box.q.push_back(std::move(m));
   }
-  pe_.wake(dst);
+  // An eager send (or post) never parks, so a receiver on this worker would
+  // otherwise wait out the sender's whole next compute phase: hand it the
+  // worker.  A rendezvous sender parks right after, which does that anyway.
+  if (rendezvous) {
+    pe_.wake(dst);
+  } else {
+    pe_.hand_off(dst);
+  }
 }
 
 void Comm::send_bytes(std::span<const std::byte> data, int dst, int tag) {

@@ -114,6 +114,10 @@ void Pe::checkpoint(const char* label) { machine_->checkpoint_point(*this, label
 
 void Pe::wake(int rank) { machine_->wake_pe(rank); }
 
+void Pe::hand_off(int rank) {
+  if (machine_->engine_ != nullptr) machine_->engine_->hand_off(rank);
+}
+
 void Pe::wake_all() { machine_->wake_all_pes(); }
 
 Machine::Machine(origin::MachineParams params) : params_(params) {

@@ -202,6 +202,11 @@ class Pe {
 
   /// Re-evaluate `rank`'s parked predicate (no-op if that PE is running).
   void wake(int rank);
+  /// wake(rank), and if `rank` now waits next on this PE's host worker, let
+  /// it run first: this PE resumes right after it (FiberEngine::hand_off).
+  /// Host scheduling only, so virtual time cannot move.  The caller must
+  /// hold no host lock.
+  void hand_off(int rank);
   /// Wake every PE of the run (barrier release, lock release, abort).
   void wake_all();
 

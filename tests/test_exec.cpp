@@ -4,6 +4,8 @@
 
 #include <atomic>
 #include <cstdint>
+#include <cstdlib>
+#include <string>
 #include <vector>
 
 #include "exec/engine.hpp"
@@ -45,7 +47,93 @@ TEST(FiberEnginePinned, LatestSameWorkerWakeRunsNext) {
   EXPECT_EQ(order, (std::vector<int>{2, 1, 0}));
 }
 
-// A token relay over two pinned workers: rank r waits for the token, passes
+// A chain of same-worker hand-offs: ranks 0..3 park, then rank 4 passes a
+// token to 0, each link passes it on to the next, and rank 3 ends the chain.
+// Every link logs its rank after its hand-off.  The wakee runs at once and
+// each waker resumes right after it, so the chain's end is logged first and
+// the wakers follow in reverse.  With a plain wake every link would log
+// before the next one runs: 4, 0, 1, 2, 3.
+TEST(FiberEnginePinned, HandOffRunsWakeeBeforeWaker) {
+  constexpr int kP = 5;
+  FiberEngine eng;
+  std::vector<std::atomic<bool>> token(kP - 1);
+  std::vector<int> order;
+  eng.run(
+      kP,
+      [&](int r) {
+        if (r < kP - 1) park_until(eng, r, token[static_cast<std::size_t>(r)]);
+        const int next = r == kP - 1 ? 0 : r + 1;
+        if (next < kP - 1) {
+          token[static_cast<std::size_t>(next)].store(true);
+          eng.hand_off(next);
+        }
+        order.push_back(r);
+      },
+      FiberEngine::Plan{1});
+  EXPECT_EQ(order, (std::vector<int>{3, 2, 1, 0, 4}));
+}
+
+// Rank 1 fills its worker's run-next slot with rank 0, then hands off to
+// rank 2 on the other worker.  That wake cannot run on rank 1's worker, so
+// rank 1 keeps running and logs before rank 0.
+TEST(FiberEnginePinned, CrossWorkerHandOffKeepsCaller) {
+  const std::vector<int> affinity{0, 0, 1};
+  FiberEngine eng;
+  std::atomic<bool> go{false};
+  std::atomic<bool> ready{false};
+  std::atomic<bool> token{false};
+  std::vector<int> order;  // worker 0's fibers only
+  eng.run(
+      3,
+      [&](int r) {
+        if (r == 0) {
+          park_until(eng, 0, go);
+          order.push_back(0);
+        } else if (r == 1) {
+          park_until(eng, 1, ready);
+          go.store(true);
+          eng.wake(0);
+          token.store(true);
+          eng.hand_off(2);
+          order.push_back(1);
+        } else {
+          ready.store(true);
+          eng.wake(1);
+          park_until(eng, 2, token);
+        }
+      },
+      FiberEngine::Plan{2, affinity.data()});
+  EXPECT_EQ(order, (std::vector<int>{1, 0}));
+}
+
+// In shared mode a hand-off is a plain wake: on one worker, rank 1 logs
+// before the rank 0 it woke.
+TEST(FiberEngineShared, HandOffKeepsCaller) {
+  const char* env = std::getenv("O2K_EXEC_WORKERS");
+  const std::string saved = env != nullptr ? env : "";
+  ASSERT_EQ(::setenv("O2K_EXEC_WORKERS", "1", /*overwrite=*/1), 0);
+  FiberEngine eng;
+  std::atomic<bool> go{false};
+  std::vector<int> order;
+  eng.run(2, [&](int r) {
+    if (r == 0) {
+      park_until(eng, 0, go);
+    } else {
+      go.store(true);
+      eng.hand_off(0);
+    }
+    order.push_back(r);
+  });
+  if (env != nullptr) {
+    ::setenv("O2K_EXEC_WORKERS", saved.c_str(), /*overwrite=*/1);
+  } else {
+    ::unsetenv("O2K_EXEC_WORKERS");
+  }
+  EXPECT_EQ(eng.workers(), 1);
+  EXPECT_EQ(order, (std::vector<int>{1, 0}));
+}
+
+// A token relay over two pinned workers: rank r waits for the token, hands
 // it to r + 1 and then waits for the release broadcast, so every worker
 // keeps refilling its run-next slot from its own fibers while wakes also
 // cross workers.  The run must end with every rank released, and the
@@ -64,7 +152,7 @@ TEST(FiberEnginePinned, RelayAcrossWorkersCompletes) {
           if (r > 0) park_until(eng, r, token[static_cast<std::size_t>(r)]);
           if (r + 1 < kP) {
             token[static_cast<std::size_t>(r + 1)].store(true);
-            eng.wake(r + 1);
+            eng.hand_off(r + 1);
             park_until(eng, r, release);
           } else {
             release.store(true);

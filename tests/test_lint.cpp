@@ -68,9 +68,12 @@ TEST(LintNondeterminism, NegativeFixtureQuiet) {
 TEST(LintFiberBlocking, PositiveFixtureFires) {
   const auto r = run_lint("--check=o2k-fiber-blocking " + fixture("fiber_pos.cpp"));
   EXPECT_EQ(r.exit_code, 1) << r.output;
-  EXPECT_GE(count_occurrences(r.output, "[o2k-fiber-blocking]"), 4u) << r.output;
+  EXPECT_GE(count_occurrences(r.output, "[o2k-fiber-blocking]"), 5u) << r.output;
   EXPECT_NE(r.output.find("thread_local"), std::string::npos) << r.output;
-  EXPECT_NE(r.output.find("lock guard 'lk'"), std::string::npos) << r.output;
+  EXPECT_NE(r.output.find("Pe::park_until reached while lock guard 'lk'"), std::string::npos)
+      << r.output;
+  EXPECT_NE(r.output.find("Pe::hand_off reached while lock guard 'lk'"), std::string::npos)
+      << r.output;
 }
 
 TEST(LintFiberBlocking, NegativeFixtureQuiet) {

@@ -310,8 +310,9 @@ void check_fiber_blocking(const SourceFile& f, const Registry&, std::vector<Find
         "thread-locals alias across PEs");
   }
 
-  // Lock guards live across Pe::park_until: the fiber parks while holding a
-  // host mutex, deadlocking every other fiber that needs it.
+  // Lock guards live across Pe::park_until or Pe::hand_off: the fiber
+  // switches out while holding a host mutex, deadlocking every other fiber
+  // that needs it.
   struct Guard {
     std::string name;
     int depth;
@@ -357,13 +358,14 @@ void check_fiber_blocking(const SourceFile& f, const Registry&, std::vector<Find
       for (Guard& g : guards) {
         if (g.name == recv) g.locked = false;
       }
-    } else if (id == "park_until") {
+    } else if (id == "park_until" || id == "hand_off") {
       for (const Guard& g : guards) {
         if (!g.locked) continue;
         add(out, kCheck, f, i,
-            "Pe::park_until reached while lock guard '" + g.name +
-                "' (declared at line " + std::to_string(f.line_of(g.decl)) +
-                ") is held: a parked fiber holding a host mutex deadlocks its worker");
+            "Pe::" + id + " reached while lock guard '" + g.name + "' (declared at line " +
+                std::to_string(f.line_of(g.decl)) +
+                ") is held: a fiber that switches out holding a host mutex deadlocks its "
+                "worker");
       }
     }
     i += id.size() - 1;

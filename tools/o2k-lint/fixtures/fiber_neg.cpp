@@ -6,6 +6,7 @@ namespace fixture {
 struct Pe {
   template <class Pred>
   void park_until(Pred&&) {}
+  void hand_off(int) {}
 };
 
 std::mutex mu;
@@ -17,12 +18,13 @@ void park_after_unlock(Pe& pe) {
   pe.park_until([] { return true; });
 }
 
-// Guard scope closed before the park: fine.
+// Guard scope closed before the park and the hand-off: fine.
 void park_after_scope(Pe& pe) {
   {
     std::lock_guard<std::mutex> lk(mu);
   }
   pe.park_until([] { return true; });
+  pe.hand_off(1);
 }
 
 // Lock taken *inside* the wait predicate (the engine's own idiom): fine —

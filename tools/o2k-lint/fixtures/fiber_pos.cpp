@@ -8,6 +8,7 @@ namespace fixture {
 struct Pe {
   template <class Pred>
   void park_until(Pred&&) {}
+  void hand_off(int) {}
 };
 
 std::mutex mu;
@@ -21,6 +22,7 @@ void blocking_waits() {
 void park_with_lock_held(Pe& pe) {
   std::unique_lock<std::mutex> lk(mu);
   pe.park_until([] { return true; });  // finding: lk is held across the park
+  pe.hand_off(1);                      // finding: a hand-off may switch out too
 }
 
 void park_after_unlock(Pe& pe) {
