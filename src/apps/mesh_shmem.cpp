@@ -142,21 +142,26 @@ AppReport run_mesh_shmem(rt::Machine& machine, int nprocs, const MeshConfig& cfg
           std::vector<std::vector<int>> owner_out(static_cast<std::size_t>(P));
           std::int64_t remap_flag = 0;
           if (me == 0) {
-            std::vector<ElemRec> recs;
-            for (const auto& blk : gathered) recs.insert(recs.end(), blk.begin(), blk.end());
-            std::vector<plum::Element> el(recs.size());
-            std::vector<int> cur(recs.size());
-            std::vector<double> w(recs.size());
-            for (std::size_t i = 0; i < recs.size(); ++i) {
-              el[i] = {Vec3(recs[i].x, recs[i].y, recs[i].z), recs[i].w};
-              cur[i] = recs[i].owner;
-              w[i] = recs[i].w;
+            std::size_t nelem = 0;
+            for (const auto& blk : gathered) nelem += blk.size();
+            std::vector<plum::Element> el;
+            std::vector<int> cur;
+            std::vector<double> w;
+            el.reserve(nelem);
+            cur.reserve(nelem);
+            w.reserve(nelem);
+            for (const auto& blk : gathered) {
+              for (const ElemRec& r : blk) {
+                el.push_back({Vec3(r.x, r.y, r.z), r.w});
+                cur.push_back(r.owner);
+                w.push_back(r.w);
+              }
             }
             const auto part = plum::rib_partition(el, P);
             const auto sim = plum::similarity_matrix(cur, part, w, P);
             const auto label_map = plum::assign_greedy(sim);
-            std::vector<int> new_owner(recs.size());
-            for (std::size_t i = 0; i < recs.size(); ++i) {
+            std::vector<int> new_owner(nelem);
+            for (std::size_t i = 0; i < nelem; ++i) {
               new_owner[i] = label_map[static_cast<std::size_t>(part[i])];
             }
             const double imb_old = plum::imbalance(el, cur, P);

@@ -1,8 +1,12 @@
 #include "plum/partition.hpp"
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <numeric>
+#include <utility>
 
 #include "common/check.hpp"
 
@@ -58,27 +62,77 @@ Vec3 principal_axis(std::span<const Element> elems, std::span<const int> subset)
 
 namespace {
 
-void rib_recurse(std::span<const Element> elems, std::vector<int>& subset, int part_lo,
-                 int nparts, std::vector<int>& out) {
-  if (nparts == 1 || subset.size() <= 1) {
-    for (int i : subset) out[static_cast<std::size_t>(i)] = part_lo;
-    if (subset.size() <= 1 && nparts > 1) {
-      // Degenerate: nothing left to split; all weight lands in part_lo.
-      for (int i : subset) out[static_cast<std::size_t>(i)] = part_lo;
+/// One element of a bisection level: the sort key of its projection, and
+/// its index.
+struct Keyed {
+  std::uint64_t key;
+  int idx;
+};
+
+/// The unsigned image of a finite projection that orders like the double:
+/// flip every bit of a negative, set the sign bit of a positive.  `-0.0` is
+/// folded into `+0.0` first, because the comparison `pa != pb` treats them
+/// as equal and breaks the tie by index.
+std::uint64_t sort_key(double p) {
+  constexpr std::uint64_t kSign = std::uint64_t{1} << 63;
+  if (p == 0.0) p = 0.0;  // -0.0 becomes +0.0
+  const auto u = std::bit_cast<std::uint64_t>(p);
+  return (u & kSign) != 0 ? ~u : u | kSign;
+}
+
+/// Sorts `a` (at least two elements) by (key, idx) using `tmp` (same size)
+/// as scratch, and returns whichever of the two holds the result.  A stable
+/// 8-bit LSD radix sort on the key leaves equal keys in input order, so
+/// each run of equal keys is then ordered by index.
+std::span<Keyed> sort_keyed(std::span<Keyed> a, std::span<Keyed> tmp) {
+  std::array<std::array<std::uint32_t, 256>, 8> count{};
+  for (const Keyed& k : a) {
+    for (int d = 0; d < 8; ++d) ++count[d][(k.key >> (8 * d)) & 0xFF];
+  }
+  for (int d = 0; d < 8; ++d) {
+    auto& c = count[d];
+    if (c[(a[0].key >> (8 * d)) & 0xFF] == a.size()) continue;  // every key shares this digit
+    std::uint32_t sum = 0;
+    for (auto& x : c) sum += std::exchange(x, sum);
+    for (const Keyed& k : a) tmp[c[(k.key >> (8 * d)) & 0xFF]++] = k;
+    std::swap(a, tmp);
+  }
+  for (std::size_t i = 0; i < a.size();) {
+    std::size_t j = i + 1;
+    while (j < a.size() && a[j].key == a[i].key) ++j;
+    if (j - i > 1) {
+      std::sort(a.begin() + static_cast<std::ptrdiff_t>(i),
+                a.begin() + static_cast<std::ptrdiff_t>(j),
+                [](const Keyed& x, const Keyed& y) { return x.idx < y.idx; });
     }
+    i = j;
+  }
+  return a;
+}
+
+/// Bisects `subset` in place.  `buf` and `tmp` are scratch of at least
+/// `subset.size()` elements, shared by the whole depth-first recursion.
+void rib_recurse(std::span<const Element> elems, std::span<int> subset, int part_lo,
+                 int nparts, std::span<Keyed> buf, std::span<Keyed> tmp, std::vector<int>& out) {
+  if (nparts == 1 || subset.size() <= 1) {
+    // One part, or nothing left to split: everything lands in part_lo.
+    for (int i : subset) out[static_cast<std::size_t>(i)] = part_lo;
     return;
   }
   const int k1 = nparts / 2;
   const int k2 = nparts - k1;
   const Vec3 axis = principal_axis(elems, subset);
 
-  // Sort by projection (ties by index for determinism).
-  std::sort(subset.begin(), subset.end(), [&](int a, int b) {
-    const double pa = elems[static_cast<std::size_t>(a)].pos.dot(axis);
-    const double pb = elems[static_cast<std::size_t>(b)].pos.dot(axis);
-    if (pa != pb) return pa < pb;
-    return a < b;
-  });
+  // Order by (projection, index), each projection computed once.  The
+  // weight sums below and the next level's axis run in this order, so it
+  // must be exactly the comparison order (see partition.hpp).
+  const auto keyed = buf.first(subset.size());
+  for (std::size_t j = 0; j < subset.size(); ++j) {
+    const int i = subset[j];
+    keyed[j] = {sort_key(elems[static_cast<std::size_t>(i)].pos.dot(axis)), i};
+  }
+  const auto sorted = sort_keyed(keyed, tmp.first(subset.size()));
+  for (std::size_t j = 0; j < subset.size(); ++j) subset[j] = sorted[j].idx;
 
   double total = 0.0;
   for (int i : subset) total += elems[static_cast<std::size_t>(i)].weight;
@@ -92,10 +146,8 @@ void rib_recurse(std::span<const Element> elems, std::vector<int>& subset, int p
   }
   if (split == 0) split = 1;  // both halves non-empty
 
-  std::vector<int> left(subset.begin(), subset.begin() + static_cast<std::ptrdiff_t>(split));
-  std::vector<int> right(subset.begin() + static_cast<std::ptrdiff_t>(split), subset.end());
-  rib_recurse(elems, left, part_lo, k1, out);
-  rib_recurse(elems, right, part_lo + k1, k2, out);
+  rib_recurse(elems, subset.first(split), part_lo, k1, buf, tmp, out);
+  rib_recurse(elems, subset.subspan(split), part_lo + k1, k2, buf, tmp, out);
 }
 
 }  // namespace
@@ -106,7 +158,9 @@ std::vector<int> rib_partition(std::span<const Element> elems, int nparts) {
   if (nparts == 1 || elems.empty()) return out;
   std::vector<int> subset(elems.size());
   std::iota(subset.begin(), subset.end(), 0);
-  rib_recurse(elems, subset, 0, nparts, out);
+  std::vector<Keyed> buf(elems.size());
+  std::vector<Keyed> tmp(elems.size());
+  rib_recurse(elems, subset, 0, nparts, buf, tmp, out);
   return out;
 }
 

@@ -20,7 +20,13 @@ struct Element {
   double weight = 1.0; ///< predicted post-adaptation workload
 };
 
-/// Assign each element to one of `nparts` parts.  Deterministic.
+/// Assign each element to one of `nparts` parts.  Deterministic, bit for
+/// bit: every bisection orders its subset exactly as a comparison sort by
+/// (projection onto the principal axis, element index) would, with `-0.0`
+/// tying `+0.0`.  The axis and the weight sums of the next level run in
+/// that order, so any other order, even of ties, can move the parts.
+/// Precondition: positions are finite, because a NaN projection has no
+/// place in that order.  It is not checked.
 std::vector<int> rib_partition(std::span<const Element> elems, int nparts);
 
 /// Total weight per part.

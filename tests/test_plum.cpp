@@ -2,6 +2,11 @@
 // processor reassignment, and the remap gain policy.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <numeric>
+#include <span>
+
 #include "common/rng.hpp"
 #include "plum/partition.hpp"
 #include "plum/remap.hpp"
@@ -96,6 +101,96 @@ TEST(Rib, PartWeightsSumToTotal) {
   for (double x : w) total += x;
   for (const auto& e : elems) expect += e.weight;
   EXPECT_NEAR(total, expect, 1e-9);
+}
+
+// The comparison sort that rib_partition's ordering must reproduce bit for
+// bit: every bisection orders its subset by (projection, index).
+void oracle_recurse(std::span<const Element> elems, std::vector<int>& subset, int part_lo,
+                    int nparts, std::vector<int>& out) {
+  if (nparts == 1 || subset.size() <= 1) {
+    for (int i : subset) out[static_cast<std::size_t>(i)] = part_lo;
+    return;
+  }
+  const int k1 = nparts / 2;
+  const int k2 = nparts - k1;
+  const Vec3 axis = principal_axis(elems, subset);
+  std::sort(subset.begin(), subset.end(), [&](int a, int b) {
+    const double pa = elems[static_cast<std::size_t>(a)].pos.dot(axis);
+    const double pb = elems[static_cast<std::size_t>(b)].pos.dot(axis);
+    if (pa != pb) return pa < pb;
+    return a < b;
+  });
+  double total = 0.0;
+  for (int i : subset) total += elems[static_cast<std::size_t>(i)].weight;
+  const double target = total * static_cast<double>(k1) / static_cast<double>(nparts);
+  double acc = 0.0;
+  std::size_t split = 0;
+  while (split < subset.size() - 1 && acc < target) {
+    acc += elems[static_cast<std::size_t>(subset[split])].weight;
+    ++split;
+  }
+  if (split == 0) split = 1;
+  std::vector<int> left(subset.begin(), subset.begin() + static_cast<std::ptrdiff_t>(split));
+  std::vector<int> right(subset.begin() + static_cast<std::ptrdiff_t>(split), subset.end());
+  oracle_recurse(elems, left, part_lo, k1, out);
+  oracle_recurse(elems, right, part_lo + k1, k2, out);
+}
+
+std::vector<int> oracle_partition(std::span<const Element> elems, int nparts) {
+  std::vector<int> out(elems.size(), 0);
+  if (nparts == 1 || elems.empty()) return out;
+  std::vector<int> subset(elems.size());
+  std::iota(subset.begin(), subset.end(), 0);
+  oracle_recurse(elems, subset, 0, nparts, out);
+  return out;
+}
+
+TEST(Rib, MatchesComparisonSortOracle) {
+  // (a) +0.0 and -0.0 projections tie, so they are ordered by index: the
+  // ten (0,0,0) points before the ten (-0,-0,-0) ones.
+  {
+    std::vector<Element> elems;
+    for (int k = 0; k < 10; ++k) elems.push_back({Vec3(0.0, 0.0, 0.0), 1.0});
+    for (int k = 0; k < 10; ++k) elems.push_back({Vec3(-0.0, -0.0, -0.0), 1.0});
+    for (int k = 0; k < 20; ++k) elems.push_back({Vec3(-(k + 1.0), 0.0, 0.0), 1.0});
+    for (int k = 0; k < 20; ++k) elems.push_back({Vec3(k + 1.0, 0.0, 0.0), 1.0});
+    for (int nparts : {2, 4}) {
+      EXPECT_EQ(rib_partition(elems, nparts), oracle_partition(elems, nparts))
+          << "signed zeros, nparts " << nparts;
+    }
+  }
+  // (b) The top level cuts across y; the second level cuts across x, where
+  // each column's points tie and arrive in descending index order.
+  {
+    std::vector<Element> elems;
+    for (int i = 0; i < 5; ++i) {
+      for (int j = 299; j >= 0; --j) elems.push_back({Vec3(50.0 * i, j, 0.0), 1.0});
+    }
+    EXPECT_EQ(rib_partition(elems, 5), oracle_partition(elems, 5)) << "ties below the top level";
+  }
+  // (c) Random clouds from empty to 20000 elements: continuous positions,
+  // integer lattices full of duplicates and signed zeros, and weights that
+  // may be zero.
+  Rng rng(20260917);
+  for (int cloud = 0; cloud < 200; ++cloud) {
+    const auto n = static_cast<std::size_t>(std::exp(rng.uniform(0.0, std::log(20001.0)))) - 1;
+    const bool lattice = rng.next_below(2) == 0;
+    const auto side = static_cast<double>(1 + rng.next_below(lattice ? 8 : 1000));
+    const auto weights = rng.next_below(3);  // 0: all 1.0, 1: random, 2: random with zeros
+    std::vector<Element> elems(n);
+    for (auto& e : elems) {
+      for (int d = 0; d < 3; ++d) {
+        e.pos[d] = lattice ? static_cast<double>(rng.next_below(static_cast<std::uint64_t>(side) + 1))
+                           : rng.uniform(0.0, side);
+        if (rng.next_below(2) == 0) e.pos[d] = -e.pos[d];
+      }
+      if (weights == 1) e.weight = rng.uniform(0.5, 4.0);
+      if (weights == 2) e.weight = rng.next_below(4) == 0 ? 0.0 : rng.uniform(0.5, 4.0);
+    }
+    const int nparts = 1 + static_cast<int>(rng.next_below(70));
+    ASSERT_EQ(rib_partition(elems, nparts), oracle_partition(elems, nparts))
+        << "cloud " << cloud << ": " << n << " elements, nparts " << nparts;
+  }
 }
 
 TEST(Similarity, CountsRetainedWeight) {
