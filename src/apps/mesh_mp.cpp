@@ -50,7 +50,7 @@ AppReport run_mesh_mp(rt::Machine& machine, int nprocs, const MeshConfig& cfg) {
     // (computed once on the host, shared by every PE).
     LocalMesh lm;
     {
-      const auto setup = setup_cache.get(0, [&] {
+      const auto setup = setup_cache.get(pe, 0, [&] {
         Setup s;
         s.gm = mesh::make_box_mesh(cfg.nx, cfg.ny, cfg.nz, cfg.scale);
         std::vector<plum::Element> el(s.gm.tets.size());

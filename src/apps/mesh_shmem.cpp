@@ -59,7 +59,7 @@ AppReport run_mesh_shmem(rt::Machine& machine, int nprocs, const MeshConfig& cfg
     // host and shared by every PE).
     LocalMesh lm;
     {
-      const auto setup = setup_cache.get(0, [&] {
+      const auto setup = setup_cache.get(pe, 0, [&] {
         Setup s;
         s.gm = mesh::make_box_mesh(cfg.nx, cfg.ny, cfg.nz, cfg.scale);
         std::vector<plum::Element> el(s.gm.tets.size());

@@ -68,7 +68,7 @@ AppReport run_nbody_mp(rt::Machine& machine, int nprocs, const NbodyConfig& cfg)
     // (computed once on the host, shared by every PE).
     std::vector<Body> owned;
     {
-      const auto setup = setup_cache.get(0, [&] {
+      const auto setup = setup_cache.get(pe, 0, [&] {
         Setup s;
         s.all = cfg.uniform_sphere ? nbody::make_uniform_sphere(cfg.n, cfg.seed)
                                    : nbody::make_plummer(cfg.n, cfg.seed);
@@ -106,7 +106,7 @@ AppReport run_nbody_mp(rt::Machine& machine, int nprocs, const NbodyConfig& cfg)
         // Every PE holds the same allgathered cloud (rank order), so the
         // replicated ORB result, and its input, is built once instead of P
         // times.
-        const auto new_owner_sp = owner_cache.get(static_cast<std::uint64_t>(step), [&] {
+        const auto new_owner_sp = owner_cache.get(pe, static_cast<std::uint64_t>(step), [&] {
           std::vector<plum::Element> el(recs.size());
           for (std::size_t i = 0; i < recs.size(); ++i) {
             el[i] = {Vec3(recs[i].x, recs[i].y, recs[i].z), std::max(1.0, recs[i].w)};

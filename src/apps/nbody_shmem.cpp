@@ -70,7 +70,7 @@ AppReport run_nbody_shmem(rt::Machine& machine, int nprocs, const NbodyConfig& c
     // (computed once on the host, shared by every PE).
     std::vector<Body> owned;
     {
-      const auto setup = setup_cache.get(0, [&] {
+      const auto setup = setup_cache.get(pe, 0, [&] {
         Setup s;
         s.all = cfg.uniform_sphere ? nbody::make_uniform_sphere(cfg.n, cfg.seed)
                                    : nbody::make_plummer(cfg.n, cfg.seed);
@@ -109,7 +109,7 @@ AppReport run_nbody_shmem(rt::Machine& machine, int nprocs, const NbodyConfig& c
                    kc.partition_vertex_ns);
         // Identical allgathered cloud on every PE: build the ORB input and
         // result once and share them.
-        const auto new_owner_sp = owner_cache.get(static_cast<std::uint64_t>(step), [&] {
+        const auto new_owner_sp = owner_cache.get(pe, static_cast<std::uint64_t>(step), [&] {
           std::vector<plum::Element> el(recs.size());
           for (std::size_t i = 0; i < recs.size(); ++i) {
             el[i] = {Vec3(recs[i].x, recs[i].y, recs[i].z), std::max(1.0, recs[i].w)};

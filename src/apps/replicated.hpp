@@ -14,19 +14,21 @@
 // the value each PE observes is bit-identical to what it would have
 // computed itself — virtual clocks, counters and traces are unaffected.
 //
-// Blocking discipline: waiters block on a plain host condition variable,
-// *outside* the rt wait registry.  That is safe only because the computing
-// PE never enters virtual-time waits inside `fn` (the functions memoised
-// here are pure host computations), so the wait always terminates and
-// cannot deadlock against barriers or aborts.
+// Blocking discipline: a PE that asks for a key another PE is computing
+// parks its fiber (Pe::park_until) and the computing PE wakes the run after
+// publishing, as for every other wait.  A host condvar here would block the
+// whole worker, and an abort wake could not reach it: if `fn` throws, the
+// run aborts and the waiters unwind with AbortError instead of waiting for
+// a value that never comes.
 #pragma once
 
-#include <condition_variable>
 #include <cstdint>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <utility>
+
+#include "rt/machine.hpp"
 
 namespace o2k::apps::detail {
 
@@ -37,32 +39,40 @@ class Replicated {
   /// `fn` must be a pure function whose value is identical across PEs for
   /// the same key, and must not block on virtual-time events.
   template <typename Fn>
-  std::shared_ptr<const T> get(std::uint64_t key, Fn&& fn) {
-    std::unique_lock lk(mu_);
-    Entry& e = entries_[key];
-    if (e.state == Entry::kIdle) {
-      e.state = Entry::kComputing;
-      lk.unlock();
-      auto value = std::make_shared<const T>(fn());
-      lk.lock();
-      e.value = std::move(value);
-      e.state = Entry::kReady;
-      cv_.notify_all();
-      return e.value;
+  std::shared_ptr<const T> get(rt::Pe& pe, std::uint64_t key, Fn&& fn) {
+    Entry* e = nullptr;
+    bool compute = false;
+    {
+      std::scoped_lock lk(mu_);
+      e = &entries_[key];
+      compute = !e->claimed;
+      e->claimed = true;
     }
-    cv_.wait(lk, [&] { return e.state == Entry::kReady; });
-    return e.value;
+    if (compute) {
+      auto value = std::make_shared<const T>(fn());
+      {
+        std::scoped_lock lk(mu_);
+        e->value = value;
+      }
+      pe.wake_all();
+      return value;
+    }
+    std::shared_ptr<const T> out;
+    pe.park_until([&] {
+      std::scoped_lock lk(mu_);
+      out = e->value;
+      return out != nullptr;
+    });
+    return out;
   }
 
  private:
   struct Entry {
-    enum State : std::uint8_t { kIdle, kComputing, kReady };
-    State state = kIdle;
-    std::shared_ptr<const T> value;
+    bool claimed = false;            ///< a PE is computing or has computed it
+    std::shared_ptr<const T> value;  ///< non-null once published
   };
   std::mutex mu_;
-  std::condition_variable cv_;
-  std::map<std::uint64_t, Entry> entries_;  // node-stable: waiters hold Entry&
+  std::map<std::uint64_t, Entry> entries_;  // node-stable: callers hold Entry*
 };
 
 }  // namespace o2k::apps::detail

@@ -377,11 +377,6 @@ void FiberEngine::wake_all() {
   for (int r = 0; r < live_; ++r) wake(r);
 }
 
-int FiberEngine::current_worker() const {
-  const TlsWorker t = tls_worker;
-  return t.eng == this ? t.wid : -1;
-}
-
 bool FiberEngine::quiescent_except(int rank) const {
   for (int r = 0; r < live_; ++r) {
     if (r == rank) continue;

@@ -11,7 +11,7 @@
 //   * Pinned mode (`Plan{workers, affinity}`): every rank is pinned to one
 //     worker — its synchronization domain (rt::DomainMap) — which owns a
 //     private local run queue.  Cross-worker wakes travel through per-pair
-//     SPSC mailboxes (exec/spsc.hpp) and a per-worker sleep eventcount, so
+//     SPSC wake rings (exec/spsc.hpp) and a per-worker sleep eventcount, so
 //     the inter-domain hot path takes no lock; a same-worker wake puts the
 //     fiber in the worker's one-fiber run-next slot, which runs before the
 //     local queue.  hand_off() is a wake that also switches the waker out
@@ -22,6 +22,11 @@
 //
 // The calling thread doubles as worker 0, so at M=1 a run spawns no
 // threads at all (this is what makes warm campaign forks sound).
+//
+// Which host thread runs which rank is known only here and in rt::Machine,
+// which builds the Plan.  The model runtimes never ask: their shared
+// structures are correct whichever thread runs a rank (MP mailboxes are
+// MPSC queues, the CC-SAS directory commits at barriers).
 //
 // Each fiber carries an eventcount: parking suspends the *fiber* (a
 // user-space context switch back to its worker) and waking enqueues the
@@ -42,7 +47,7 @@
 // wake concurrent with a park either sees kParked and enqueues, or bumped
 // the epoch early enough that the worker's re-check sees it.  The CAS
 // claim makes the resume exactly-once under concurrent wakers — which is
-// also why the SPSC mailboxes can never overflow: a fiber is in flight
+// also why the SPSC wake rings can never overflow: a fiber is in flight
 // through at most one queue at a time, and a ring only ever carries fibers
 // pinned to its consumer, so each ring sized to the run's rank count (an
 // upper bound on any worker's owned fibers) always has room.
@@ -132,11 +137,6 @@ class FiberEngine {
 
   /// Number of host workers the last/current run uses.
   [[nodiscard]] int workers() const { return workers_used_; }
-
-  /// Worker id of the calling host thread within this engine's pinned
-  /// pool, or -1 when the caller is not a pool worker of this engine.
-  /// Identifies the producer side for domain-local lock-free structures.
-  [[nodiscard]] int current_worker() const;
 
   /// True when every fiber of the current run except `rank` is either
   /// parked or finished — i.e. `rank` is the only runnable context.  Only

@@ -1,4 +1,4 @@
-// Single-producer/single-consumer mailboxes.
+// Lock-free mailboxes.
 //
 // SpscRing: the multi-domain fiber engine hands runnable fibers between
 // host workers through one of these per (producer worker, consumer worker)
@@ -9,9 +9,9 @@
 // one mailbox at a time — so a push can never find the ring full (enforced
 // with O2K_CHECK rather than a resize path).
 //
-// SpscChannel: an unbounded linked-list variant for payload-bearing lanes
-// whose occupancy has no a-priori bound — mp::World rides cross-domain
-// message deliveries on one channel per (consumer rank, producer worker).
+// MpscQueue: an unbounded linked-list queue for payload-bearing lanes whose
+// occupancy has no a-priori bound — each mp::World rank receives every
+// message through one, whichever host thread runs the sender.
 #pragma once
 
 #include <atomic>
@@ -68,49 +68,51 @@ class SpscRing {
   alignas(64) std::atomic<std::size_t> tail_{0};  ///< producer cursor
 };
 
-/// Unbounded single-producer/single-consumer channel (linked list with a
-/// stub node).  The producer allocates a node and publishes it with one
-/// release store; the consumer follows `next` with an acquire load and
-/// frees consumed nodes.  No capacity invariant to maintain, so it suits
-/// payload lanes (messages, not fibers) where occupancy is unbounded.
+/// Unbounded multi-producer/single-consumer queue (Vyukov's linked list
+/// with a stub node).  A producer allocates a node, swings `head_` to it
+/// with one exchange and then links the previous head to it; the consumer
+/// follows `next` from `tail_` with acquire loads and frees consumed nodes.
+/// The exchange orders all pushes, so one producer's items leave in its
+/// program order whichever host thread runs each push — a fiber that parks
+/// between two pushes and resumes elsewhere keeps its order, because the
+/// resume itself happens-after the first push.
 ///
-/// The *consumer* may be a fiber rather than a host thread: single-consumer
+/// A pop that meets a producer between its exchange and its link sees the
+/// queue as empty up to that node.  Callers that park on the queue must
+/// therefore have every producer wake the consumer *after* push returns
+/// (mp::Comm does): the interrupted producer's own wake re-runs the pop.
+///
+/// The consumer may be a fiber rather than a host thread: single-consumer
 /// only requires that at most one execution context pops at a time, which a
 /// fiber satisfies (it runs in exactly one place at a time).
 template <typename T>
-class SpscChannel {
+class MpscQueue {
  public:
-  SpscChannel() {
-    Node* stub = new Node();
-    head_ = stub;
-    tail_ = stub;
-  }
-  ~SpscChannel() {
-    Node* n = head_;
+  MpscQueue() : head_(new Node()) { tail_ = head_.load(std::memory_order_relaxed); }
+  ~MpscQueue() {
+    Node* n = tail_;
     while (n != nullptr) {
       Node* next = n->next.load(std::memory_order_relaxed);
       delete n;
       n = next;
     }
   }
-  SpscChannel(const SpscChannel&) = delete;
-  SpscChannel& operator=(const SpscChannel&) = delete;
+  MpscQueue(const MpscQueue&) = delete;
+  MpscQueue& operator=(const MpscQueue&) = delete;
 
-  /// Producer side only.
+  /// Any thread or fiber.
   void push(T v) {
     Node* n = new Node(std::move(v));
-    tail_->next.store(n, std::memory_order_release);
-    tail_ = n;
+    Node* prev = head_.exchange(n, std::memory_order_acq_rel);
+    prev->next.store(n, std::memory_order_release);
   }
 
-  /// Consumer side only.  Returns false when the channel is empty.
+  /// Consumer side only.  Returns false when no linked item is left.
   bool pop(T& out) {
-    Node* next = head_->next.load(std::memory_order_acquire);
+    Node* next = tail_->next.load(std::memory_order_acquire);
     if (next == nullptr) return false;
     out = std::move(next->v);
-    Node* old = head_;
-    head_ = next;
-    delete old;
+    delete std::exchange(tail_, next);
     return true;
   }
 
@@ -119,7 +121,7 @@ class SpscChannel {
   /// unmatched-send report, both of which run when all PEs are parked.
   template <typename F>
   void for_each(F&& f) const {
-    for (Node* n = head_->next.load(std::memory_order_acquire); n != nullptr;
+    for (Node* n = tail_->next.load(std::memory_order_acquire); n != nullptr;
          n = n->next.load(std::memory_order_acquire)) {
       f(n->v);
     }
@@ -133,8 +135,8 @@ class SpscChannel {
     std::atomic<Node*> next{nullptr};
   };
 
-  alignas(64) Node* head_ = nullptr;  ///< consumer cursor (stub or last consumed)
-  alignas(64) Node* tail_ = nullptr;  ///< producer cursor
+  alignas(64) std::atomic<Node*> head_;  ///< producers: the last pushed node
+  alignas(64) Node* tail_ = nullptr;     ///< consumer: stub or last consumed
 };
 
 }  // namespace o2k::exec

@@ -20,8 +20,7 @@ World::World(const origin::MachineParams& params, int nprocs)
     : params_(params), nprocs_(nprocs) {
   O2K_REQUIRE(nprocs >= 1, "mp::World needs at least one rank");
   O2K_REQUIRE(nprocs <= params.max_pes, "mp::World larger than the machine");
-  boxes_.reserve(static_cast<std::size_t>(nprocs));
-  for (int r = 0; r < nprocs; ++r) boxes_.emplace_back(std::make_unique<detail::Mailbox>());
+  boxes_ = std::make_unique<detail::Mailbox[]>(static_cast<std::size_t>(nprocs));
   if (auto* s = sanitize::active()) s->begin_mp_world(nprocs);
   rt::StateRegistry::instance().add(this, &World::state_capture, "mp.world");
 }
@@ -42,35 +41,20 @@ std::uint64_t message_hash(const detail::Message& m) {
 }  // namespace
 
 void World::state_capture(void* world, rt::StateSink& sink) {
+  // Runs at checkpoint quiescence: every PE is parked, so both halves of
+  // each mailbox are stable and safe to walk.
   auto& w = *static_cast<World*>(world);
   sink.put_u64("mp.nprocs", static_cast<std::uint64_t>(w.nprocs_));
   for (int r = 0; r < w.nprocs_; ++r) {
     // Order-independent combine (sum of per-message hashes): queue order
     // reflects host enqueue interleaving, the message *set* does not — so
-    // the digest is also representation-independent (locked vs sharded).
+    // the digest also does not depend on which half holds a message.
     std::uint64_t combined = 0;
     std::uint64_t depth = 0;
-    if (w.sharded_) {
-      // Capture runs at checkpoint quiescence: every PE is parked, so the
-      // lock-free queues and channels are stable and safe to walk.
-      for (const detail::Message& m : w.lb_[static_cast<std::size_t>(r)].q) {
-        combined += message_hash(m);
-        ++depth;
-      }
-      for (int pw = 0; pw < w.shard_workers_; ++pw) {
-        w.channel(r, pw).for_each([&](const detail::Message& m) {
-          combined += message_hash(m);
-          ++depth;
-        });
-      }
-    } else {
-      auto& box = *w.boxes_[static_cast<std::size_t>(r)];
-      std::scoped_lock lk(box.mu);
-      for (const detail::Message& m : box.q) {
-        combined += message_hash(m);
-        ++depth;
-      }
-    }
+    w.for_each_queued(r, [&](const detail::Message& m) {
+      combined += message_hash(m);
+      ++depth;
+    });
     const std::string prefix = "mp.box." + std::to_string(r);
     sink.put_u64(prefix + ".depth", depth);
     sink.put_u64(prefix + ".digest", combined);
@@ -81,109 +65,24 @@ World::~World() {
   rt::StateRegistry::instance().remove(this);
   auto* s = sanitize::active();
   if (s == nullptr) return;
-  // The run's PE threads are gone (Worlds outlive Machine::run), so the
+  // The run's PE fibers are gone (Worlds outlive Machine::run), so the
   // mailboxes are quiescent: anything still queued was never received.
   for (int r = 0; r < nprocs_; ++r) {
-    if (sharded_) {
-      for (const detail::Message& m : lb_[static_cast<std::size_t>(r)].q) {
-        s->mp_unmatched_send(m.src, r, m.tag, m.payload.size(), m.arrival_ns);
-      }
-      for (int pw = 0; pw < shard_workers_; ++pw) {
-        channel(r, pw).for_each([&](const detail::Message& m) {
-          s->mp_unmatched_send(m.src, r, m.tag, m.payload.size(), m.arrival_ns);
-        });
-      }
-    } else {
-      auto& box = *boxes_[static_cast<std::size_t>(r)];
-      std::scoped_lock lk(box.mu);
-      for (const detail::Message& m : box.q) {
-        s->mp_unmatched_send(m.src, r, m.tag, m.payload.size(), m.arrival_ns);
-      }
-    }
+    for_each_queued(r, [&](const detail::Message& m) {
+      s->mp_unmatched_send(m.src, r, m.tag, m.payload.size(), m.arrival_ns);
+    });
   }
   s->end_mp_world();
-}
-
-void World::bind_run(rt::Pe& pe) {
-  std::scoped_lock lk(bind_mu_);
-  const bool want_sharded = pe.domain_serial();
-  const int want_workers = want_sharded ? pe.domains() : 0;
-  if (sharded_ == want_sharded && shard_workers_ == want_workers) return;
-  if (sharded_) {
-    // Leaving sharded mode (World reused by a differently-shaped run):
-    // fold everything back into the locked boxes.
-    drain_all_channels();
-    for (int r = 0; r < nprocs_; ++r) {
-      auto& src = lb_[static_cast<std::size_t>(r)].q;
-      auto& dst = boxes_[static_cast<std::size_t>(r)]->q;
-      while (!src.empty()) {
-        dst.push_back(std::move(src.front()));
-        src.pop_front();
-      }
-    }
-    lb_.clear();
-    chan_.clear();
-    sharded_ = false;
-    shard_workers_ = 0;
-  }
-  if (want_sharded) {
-    shard_workers_ = want_workers;
-    lb_ = std::vector<detail::LocalBox>(static_cast<std::size_t>(nprocs_));
-    chan_.clear();
-    chan_.reserve(static_cast<std::size_t>(nprocs_) * static_cast<std::size_t>(want_workers));
-    for (int i = 0; i < nprocs_ * want_workers; ++i) {
-      chan_.push_back(std::make_unique<exec::SpscChannel<detail::Message>>());
-    }
-    for (int r = 0; r < nprocs_; ++r) {
-      auto& src = boxes_[static_cast<std::size_t>(r)]->q;
-      auto& dst = lb_[static_cast<std::size_t>(r)].q;
-      while (!src.empty()) {
-        dst.push_back(std::move(src.front()));
-        src.pop_front();
-      }
-    }
-    sharded_ = true;
-  }
-}
-
-void World::drain_all_channels() {
-  detail::Message m;
-  for (int r = 0; r < nprocs_; ++r) {
-    for (int pw = 0; pw < shard_workers_; ++pw) {
-      auto& ch = channel(r, pw);
-      while (ch.pop(m)) lb_[static_cast<std::size_t>(r)].q.push_back(std::move(m));
-    }
-  }
 }
 
 Comm::Comm(World& world, rt::Pe& pe) : world_(world), pe_(pe) {
   O2K_REQUIRE(world.size() == pe.size(),
               "mp::World size must match the Machine::run processor count");
-  world.bind_run(pe);
 }
 
 void Comm::enqueue_msg(int dst, detail::Message&& m) {
-  World& w = world_;
   const bool rendezvous = m.rdv != nullptr;
-  if (w.sharded_) {
-    // The owner worker of dst's queue is its domain (pinned mode: domain d
-    // == worker d); the calling worker's id doubles as the producer index
-    // of the cross-domain channel.
-    const int owner = pe_.domain_of(dst);
-    if (pe_.host_worker() == owner) {
-      // Intra-domain delivery: single host thread owns both endpoints — a
-      // plain push, no lock, no atomics beyond the wake below.
-      w.lb_[static_cast<std::size_t>(dst)].q.push_back(std::move(m));
-    } else {
-      const int me_w = pe_.host_worker();
-      O2K_CHECK(me_w >= 0, "mp: sharded send from outside the worker pool");
-      w.channel(dst, me_w).push(std::move(m));
-    }
-  } else {
-    auto& box = *w.boxes_[static_cast<std::size_t>(dst)];
-    std::scoped_lock lk(box.mu);
-    box.q.push_back(std::move(m));
-  }
+  world_.boxes_[static_cast<std::size_t>(dst)].in.push(std::move(m));
   // An eager send (or post) never parks, so a receiver on this worker would
   // otherwise wait out the sender's whole next compute phase: hand it the
   // worker.  A rendezvous sender parks right after, which does that anyway.
@@ -262,7 +161,7 @@ std::vector<std::byte> Comm::recv_bytes(int src, int tag) {
   const auto& P = world_.params();
 
   // The matching predicate consumes the message as its side effect; every
-  // sender wakes this rank after enqueueing (see detail::Mailbox).
+  // sender wakes this rank after pushing (see detail::Mailbox).
   detail::Message m;
   auto* san = sanitize::active();
   int distinct_tags = 0;
@@ -284,29 +183,14 @@ std::vector<std::byte> Comm::recv_bytes(int src, int tag) {
     q.erase(it);
     return true;
   };
-  if (world_.sharded_) {
-    // Domain-serial fast path: this fiber's host worker is the sole
-    // consumer of lb_[rank] and of every channel(rank, *) — no locks.
-    // A given src's messages always ride exactly one route (direct push or
-    // its worker's channel), so draining channels in fixed producer order
-    // before each scan keeps per-src FIFO — all the matching semantics
-    // depend on.
-    auto& q = world_.lb_[static_cast<std::size_t>(rank())].q;
-    pe_.park_until([&] {
-      detail::Message in;
-      for (int pw = 0; pw < world_.shard_workers_; ++pw) {
-        auto& ch = world_.channel(rank(), pw);
-        while (ch.pop(in)) q.push_back(std::move(in));
-      }
-      return match_in(q);
-    });
-  } else {
-    auto& box = *world_.boxes_[static_cast<std::size_t>(rank())];
-    pe_.park_until([&] {
-      std::scoped_lock lk(box.mu);
-      return match_in(box.q);
-    });
-  }
+  detail::Mailbox& box = world_.boxes_[static_cast<std::size_t>(rank())];
+  pe_.park_until([&] {
+    // Only this fiber pops `in`, so draining it into `q` before each scan
+    // keeps every source's messages in push order.
+    detail::Message in;
+    while (box.in.pop(in)) box.q.push_back(std::move(in));
+    return match_in(box.q);
+  });
 
   const std::size_t bytes = m.payload.size();
   if (!m.rdv) {

@@ -25,7 +25,6 @@
 #include <atomic>
 #include <deque>
 #include <memory>
-#include <mutex>
 #include <span>
 #include <string>
 #include <type_traits>
@@ -65,46 +64,23 @@ struct Message {
   double rts_arrival_ns = 0.0;
 };
 
-/// Per-rank message queue.  Blocking receives park the owner PE's fiber; a
-/// sender enqueues under `mu` and then wakes the owner, whose matching
-/// predicate rescans the queue under `mu`.  The fiber's wait epoch is the
-/// generation counter that closes the classic lost-wakeup window: a wake
-/// between the failed scan and the park bumps the epoch, so the receiver
-/// re-scans instead of staying parked (see Pe::park_until).
-///
-/// This locked representation serves runs that are not domain-serial
-/// (shared-mode fibers, where any worker runs any rank, and single-PE
-/// inline runs).  Domain-serial runs use the sharded substrate below.
-struct Mailbox {
-  std::mutex mu;
-  std::deque<Message> q;
-};
-
-/// Sharded-mode per-rank queue: padded so queues homed in different
-/// domains never share a host cache line, and lock-free — only the host
-/// worker that owns the rank's domain ever touches it (intra-domain
-/// senders push directly; the owning receiver drains/scans; cross-domain
-/// senders go through the SPSC channels instead).
-struct alignas(64) LocalBox {
-  std::deque<Message> q;
+/// Per-rank mailbox.  Every sender pushes to `in` and then wakes the owner;
+/// only the owner's fiber pops `in`, moving messages into `q`, where its
+/// receives match.  `in` orders all pushes, and one source pushes in its
+/// own program order, so per-(source, tag) FIFO holds under any host
+/// schedule.  The fiber's wait epoch closes the lost-wakeup window: a wake
+/// between a failed scan and the park bumps the epoch, so the receiver
+/// re-scans instead of staying parked (see Pe::park_until).  Padded so two
+/// ranks' mailboxes never share a host cache line.
+struct alignas(64) Mailbox {
+  exec::MpscQueue<Message> in;
+  std::deque<Message> q;  ///< owner only
 };
 
 }  // namespace detail
 
 /// Shared state of one MP "job"; create before Machine::run and hand to
 /// every PE's Comm.  One World may only be used by one run at a time.
-///
-/// Mailbox storage comes in two shapes, chosen per run at the first Comm
-/// construction (bind_run):
-///
-///   * locked (default): one mutex-guarded deque per rank — correct under
-///     any host scheduling.
-///   * sharded (domain-serial runs, i.e. pinned fibers with workers > 1):
-///     one lock-free LocalBox per rank, owned by the rank's domain worker,
-///     plus one unbounded SPSC payload channel per (rank, producer worker)
-///     for cross-domain deliveries.  Intra-domain send/recv touches no
-///     mutex at all; matching order is per-(source) FIFO either way, so
-///     virtual times are bit-identical across representations.
 class World {
  public:
   World(const origin::MachineParams& params, int nprocs);
@@ -126,33 +102,18 @@ class World {
   // rendezvous is deterministic.
   static void state_capture(void* world, rt::StateSink& sink);
 
-  /// Pick the mailbox representation for the current run (idempotent; the
-  /// first Comm of a run decides, later Comms re-check cheaply).  Moves any
-  /// queued messages between representations so reuse across runs with
-  /// different worker counts stays sound.
-  void bind_run(rt::Pe& pe);
-  /// Move every channel's messages into the destination rank's LocalBox
-  /// (fixed rank-major/producer-minor order; per-source FIFO is preserved
-  /// because a source's messages sit in at most one channel).  Used when a
-  /// World leaves sharded mode between runs.
-  void drain_all_channels();
-  [[nodiscard]] exec::SpscChannel<detail::Message>& channel(int rank, int producer_worker) {
-    return *chan_[static_cast<std::size_t>(rank) * static_cast<std::size_t>(shard_workers_) +
-                  static_cast<std::size_t>(producer_worker)];
+  /// Visit every message queued for `rank`, received or not yet drained.
+  /// Quiescence only (checkpoint capture, ~World).
+  template <typename F>
+  void for_each_queued(int rank, F&& f) const {
+    const detail::Mailbox& box = boxes_[static_cast<std::size_t>(rank)];
+    for (const detail::Message& m : box.q) f(m);
+    box.in.for_each(f);
   }
 
   const origin::MachineParams& params_;
   int nprocs_;
-  std::vector<std::unique_ptr<detail::Mailbox>> boxes_;
-
-  // Sharded substrate (see class comment).  `sharded_` flips only in
-  // bind_run, before any PE communicates.
-  std::mutex bind_mu_;
-  bool sharded_ = false;
-  int shard_workers_ = 0;
-  std::vector<detail::LocalBox> lb_;  ///< [rank]
-  std::vector<std::unique_ptr<exec::SpscChannel<detail::Message>>>
-      chan_;  ///< [rank * shard_workers_ + producer worker]
+  std::unique_ptr<detail::Mailbox[]> boxes_;  ///< [rank]
 };
 
 /// Handle for a pending nonblocking operation (see header comment for the
@@ -445,9 +406,7 @@ class Comm {
   }
 
   void bcast_bytes(std::span<std::byte> data, int root, int tag);
-  /// Route one finished Message to `dst`'s queue and wake it.  Sharded
-  /// runs: direct lock-free push when the calling worker owns `dst`'s
-  /// domain, SPSC channel otherwise; locked mailbox elsewhere.
+  /// Push one finished Message to `dst`'s mailbox and wake it.
   void enqueue_msg(int dst, detail::Message&& m);
   int next_coll_tag() { return kCollTagBase + coll_seq_++; }
   /// Sanitizer registration for a posted irecv (0 when no sanitizer).

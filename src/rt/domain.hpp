@@ -1,11 +1,12 @@
 // Synchronization domains: the host-side sharding of one simulated machine.
 //
 // A domain is a contiguous slice of Origin2000 *nodes* (never splitting the
-// two PEs that share a Hub) together with everything homed there: the PEs'
-// fibers and run queue on one host worker, the directory/coherence state of
-// the nodes' memory, and the SHMEM/MP structures addressed at those PEs.
-// `O2K_WORKERS=N` selects N domains; the default 1 reproduces the
-// single-domain scheduler exactly.
+// two PEs that share a Hub): the PEs' fibers and run queue on one host
+// worker, and one stage of the barrier combine.  A domain owns no model
+// state — MP mailboxes and the CC-SAS directory are shared by every domain
+// and correct whichever host thread runs a rank — so only rt::Machine and
+// the fiber engine read the map.  `O2K_WORKERS=N` selects N domains; the
+// default 1 reproduces the single-domain scheduler exactly.
 //
 // Domains advance virtual time independently between barriers.  That is
 // safe — bit-identical to the single-domain run, not merely statistically
@@ -32,8 +33,8 @@ class DomainMap {
 
   /// Partition `nprocs` ranks into at most `domains` slices of whole nodes
   /// (`pes_per_node` ranks per node).  Requests beyond the node count clamp
-  /// down: a node is the smallest shardable unit of homed state, so a
-  /// 1-node run always yields one domain regardless of the request.
+  /// down: a node is the smallest unit (its PEs share a Hub), so a 1-node
+  /// run always yields one domain regardless of the request.
   DomainMap(int nprocs, int domains, int pes_per_node);
 
   [[nodiscard]] int domains() const { return domains_; }

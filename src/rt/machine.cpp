@@ -30,14 +30,6 @@ void Pe::throw_blocked_alone() const {
                          " ns): no other PE can wake it (deadlock)");
 }
 
-int Pe::domain_of(int rank) const { return machine_->domain_map_.domain_of(rank); }
-
-bool Pe::domain_serial() const { return machine_->domain_serial(); }
-
-int Pe::host_worker() const { return machine_->host_worker(); }
-
-int Pe::domains() const { return machine_->run_workers_; }
-
 void Pe::barrier(double cost_ns) {
   O2K_REQUIRE(cost_ns >= 0.0, "barrier cost must be non-negative");
   ++barrier_epochs_;

@@ -136,27 +136,6 @@ class Pe {
   /// per-PE epoch counter analysis layers can use to order accesses.
   [[nodiscard]] std::uint64_t barrier_epochs() const { return barrier_epochs_; }
 
-  /// Synchronization domain of `rank` under the current run's DomainMap
-  /// (always 0 at O2K_WORKERS=1).  mp::World uses this to route a message
-  /// to the worker that owns the destination's mailbox shard.
-  [[nodiscard]] int domain_of(int rank) const;
-
-  /// True when the run executes domain-serially: pinned fiber mode, where
-  /// every rank of a domain runs on that domain's single host worker.
-  /// This is the soundness condition for the runtimes' lock-free
-  /// domain-local fast paths (mp::World's sharded mailboxes).  False for
-  /// shared-mode fibers and single-PE inline runs.
-  [[nodiscard]] bool domain_serial() const;
-
-  /// Pinned-mode worker id of the calling host thread (== the domain whose
-  /// ranks it runs), or -1 when not on a pinned pool worker.  Lock-free
-  /// producers use this to tell "I own the destination shard" apart from
-  /// "I must take the cross-worker channel".
-  [[nodiscard]] int host_worker() const;
-
-  /// Number of synchronization domains (== pinned workers) of this run.
-  [[nodiscard]] int domains() const;
-
   void add_counter(CounterId id, std::uint64_t v) {
     stats_.add_counter(id, v);
     // Zero increments update no cumulative track — don't spend ring slots.
@@ -291,15 +270,6 @@ class Machine {
   void set_workers(std::optional<int> w) { workers_override_ = w; }
   /// Domains the current/last run actually used (after clamping).
   [[nodiscard]] int workers() const { return run_workers_; }
-  /// Rank→domain partition of the current/last run: the fixed block
-  /// partition built at the start of run(), unchanged until it returns.
-  [[nodiscard]] const DomainMap& domains() const { return domain_map_; }
-
-  /// See Pe::domain_serial / Pe::host_worker.
-  [[nodiscard]] bool domain_serial() const { return engine_ != nullptr && run_workers_ > 1; }
-  [[nodiscard]] int host_worker() const {
-    return engine_ != nullptr ? engine_->current_worker() : -1;
-  }
 
   /// Register `fn(ctx)` to run exactly once per barrier round, on the PE
   /// that releases the barrier, *before* any waiter resumes (model runtimes

@@ -4,7 +4,6 @@
 #include <bit>
 #include <limits>
 
-#include "common/env.hpp"
 #include "rt/state_capture.hpp"
 #include "sanitize/sanitize.hpp"
 
@@ -18,18 +17,6 @@ std::uint32_t phase_of(const rt::Pe& pe) {
 }
 
 }  // namespace
-
-template <typename T>
-std::unique_ptr<T[], World::FreeDeleter> World::alloc_shard_array(std::size_t n) {
-  static_assert(std::is_trivially_destructible_v<T>);
-  // aligned_alloc wants size % alignment == 0; empty shards still get one
-  // cacheline so begin/end pointer arithmetic stays valid.
-  const std::size_t bytes = std::max<std::size_t>(((n * sizeof(T) + 63) / 64) * 64, 64);
-  auto* t = static_cast<T*>(std::aligned_alloc(64, bytes));
-  O2K_REQUIRE(t != nullptr, "sas: directory shard allocation failed");
-  for (std::size_t i = 0; i < n; ++i) std::construct_at(t + i);
-  return std::unique_ptr<T[], FreeDeleter>(t);
-}
 
 World::World(const origin::MachineParams& params, int nprocs, std::size_t arena_bytes,
              Placement default_placement)
@@ -48,44 +35,20 @@ World::World(const origin::MachineParams& params, int nprocs, std::size_t arena_
   num_pages_ = (arena_bytes + page_b - 1) / page_b;
   num_lines_ = (arena_bytes + line_b - 1) / line_b;
 
-  // Shard the directory over a block approximation of the run's domain
-  // count (see the DirShard comment).  The env value is a layout hint only:
-  // any charge-relevant state is index-addressed and value-identical
-  // whatever the shard count, so a stale or absent O2K_WORKERS is harmless.
-  dir_domains_ = static_cast<int>(common::env_int_or("O2K_WORKERS", 1, 1, 1 << 12));
-  if (dir_domains_ > nprocs) dir_domains_ = nprocs;
-  const auto nd = static_cast<std::size_t>(dir_domains_);
-  dir_chunk_pages_ = (num_pages_ + nd - 1) / nd;
-  dir_.resize(nd);
-  for (std::size_t d = 0; d < nd; ++d) {
-    DirShard& sh = dir_[d];
-    sh.page_begin = std::min(d * dir_chunk_pages_, num_pages_);
-    sh.page_end = std::min((d + 1) * dir_chunk_pages_, num_pages_);
-    // First line whose page is >= page_begin: shards partition the global
-    // line index space into the same contiguous order as the pages.
-    sh.line_begin = std::min((sh.page_begin * page_b + line_b - 1) / line_b, num_lines_);
-    sh.line_end = std::min((sh.page_end * page_b + line_b - 1) / line_b, num_lines_);
-    sh.rank_begin = static_cast<int>((d * static_cast<std::size_t>(nprocs) + nd - 1) / nd);
-    sh.rank_end =
-        static_cast<int>(((d + 1) * static_cast<std::size_t>(nprocs) + nd - 1) / nd);
-    const std::size_t np = sh.page_end - sh.page_begin;
-    const std::size_t nl = sh.line_end - sh.line_begin;
-    sh.page_home = alloc_shard_array<std::atomic<int>>(np);
-    sh.page_claim = alloc_shard_array<std::atomic<int>>(np);
-    sh.commit_ver = alloc_shard_array<std::uint32_t>(nl);
-    sh.commit_writer = alloc_shard_array<int>(nl);
-    sh.epoch_writer = alloc_shard_array<std::atomic<int>>(nl);
-    for (std::size_t p = 0; p < np; ++p) {
-      sh.page_home[p].store(-1, std::memory_order_relaxed);
-      sh.page_claim[p].store(-1, std::memory_order_relaxed);
-    }
-    for (std::size_t l = 0; l < nl; ++l) {
-      sh.commit_writer[l] = -1;
-      sh.epoch_writer[l].store(-1, std::memory_order_relaxed);
-    }
-    sh.logs.resize(static_cast<std::size_t>(sh.rank_end - sh.rank_begin));
-    sh.red.resize(static_cast<std::size_t>(sh.rank_end - sh.rank_begin));
+  page_home_.reset(new std::atomic<int>[num_pages_]);
+  page_claim_.reset(new std::atomic<int>[num_pages_]);
+  for (std::size_t p = 0; p < num_pages_; ++p) {
+    page_home_[p].store(-1, std::memory_order_relaxed);
+    page_claim_[p].store(-1, std::memory_order_relaxed);
   }
+  commit_ver_.assign(num_lines_, 0);
+  commit_writer_.assign(num_lines_, -1);
+  epoch_writer_.reset(new std::atomic<int>[num_lines_]);
+  for (std::size_t l = 0; l < num_lines_; ++l) {
+    epoch_writer_[l].store(-1, std::memory_order_relaxed);
+  }
+  logs_.resize(static_cast<std::size_t>(nprocs));
+  red_.resize(static_cast<std::size_t>(nprocs));
   pe_clock_ = std::make_unique<ClockSlot[]>(static_cast<std::size_t>(nprocs));
   pe_state_.reset(new std::atomic<int>[static_cast<std::size_t>(nprocs)]);
   for (int r = 0; r < nprocs; ++r) {
@@ -107,24 +70,16 @@ void World::state_capture(void* world, rt::StateSink& sink) {
   sink.put_u64("sas.pages", w.num_pages_);
   sink.put_u64("sas.lines", w.num_lines_);
 
-  // Shards cover contiguous ascending page/line ranges, so chaining the
-  // digest across shards in order hashes exactly the byte sequence the
-  // former flat arrays held — digest values are layout-independent.
   std::uint64_t h = 14695981039346656037ULL;
-  std::uint64_t hv = 14695981039346656037ULL;
-  std::uint64_t hw = 14695981039346656037ULL;
-  for (const DirShard& sh : w.dir_) {
-    for (std::size_t p = sh.page_begin; p < sh.page_end; ++p) {
-      const int home = sh.page_home[p - sh.page_begin].load(std::memory_order_relaxed);
-      h = rt::fnv1a(&home, sizeof home, h);
-    }
-    hv = rt::fnv1a(sh.commit_ver.get(), (sh.line_end - sh.line_begin) * sizeof(std::uint32_t),
-                   hv);
-    hw = rt::fnv1a(sh.commit_writer.get(), (sh.line_end - sh.line_begin) * sizeof(int), hw);
+  for (std::size_t p = 0; p < w.num_pages_; ++p) {
+    const int home = w.page_home_[p].load(std::memory_order_relaxed);
+    h = rt::fnv1a(&home, sizeof home, h);
   }
   sink.put_u64("sas.page_home.digest", h);
-  sink.put_u64("sas.line_ver.digest", hv);
-  sink.put_u64("sas.line_writer.digest", hw);
+  sink.put_u64("sas.line_ver.digest",
+               rt::fnv1a(w.commit_ver_.data(), w.commit_ver_.size() * sizeof(std::uint32_t)));
+  sink.put_u64("sas.line_writer.digest",
+               rt::fnv1a(w.commit_writer_.data(), w.commit_writer_.size() * sizeof(int)));
   // Only the allocated prefix: the rest of the arena is untouched
   // zeros whose pages never committed; digesting them would fault them in.
   sink.put_u64("sas.arena.digest", rt::fnv1a(w.arena_.data(), w.bump_));
@@ -145,14 +100,14 @@ std::size_t World::allocate(std::size_t bytes, Placement placement, const char* 
       break;  // homes stay -1 until first touch
     case Placement::kRoundRobin:
       for (std::size_t p = 0; p < npages; ++p) {
-        page_home(first_page + p).store(rr_next_, std::memory_order_relaxed);
+        page_home_[first_page + p].store(rr_next_, std::memory_order_relaxed);
         rr_next_ = (rr_next_ + 1) % nprocs_;
       }
       break;
     case Placement::kBlock:
       for (std::size_t p = 0; p < npages; ++p) {
         const int home = static_cast<int>(p * static_cast<std::size_t>(nprocs_) / npages);
-        page_home(first_page + p).store(home, std::memory_order_relaxed);
+        page_home_[first_page + p].store(home, std::memory_order_relaxed);
       }
       break;
   }
@@ -165,8 +120,8 @@ void World::reset_homes_bytes(std::size_t offset, std::size_t bytes) {
   const std::size_t first = offset / page;
   const std::size_t last = (offset + bytes + page - 1) / page;
   for (std::size_t p = first; p < last && p < num_pages_; ++p) {
-    page_home(p).store(-1, std::memory_order_relaxed);
-    page_claim(p).store(-1, std::memory_order_relaxed);
+    page_home_[p].store(-1, std::memory_order_relaxed);
+    page_claim_[p].store(-1, std::memory_order_relaxed);
   }
 }
 
@@ -177,28 +132,23 @@ void World::commit_epoch() {
   // plain accesses to the committed arrays are race-free.  Each dirty line
   // and claimed page appears in exactly one PE's log; iteration order does
   // not matter because the committed value of each entry is already fixed.
-  for (DirShard& owner : dir_) {
-    for (auto& log : owner.logs) {
-      for (const std::size_t line : log.lines) {
-        // A PE's logged lines can live in any shard — resolve each.
-        DirShard& sh = shard_of_line(line);
-        const std::size_t i = line - sh.line_begin;
-        const int w = sh.epoch_writer[i].load(std::memory_order_relaxed);
-        // Sole writer: +1, its predicted cached version survives.  Multiple
-        // writers: +2, every cached copy (including theirs) goes stale.
-        sh.commit_ver[i] += w == -2 ? 2U : 1U;
-        sh.commit_writer[i] = w;
-        sh.epoch_writer[i].store(-1, std::memory_order_relaxed);
-      }
-      log.lines.clear();
-      for (const std::size_t page : log.pages) {
-        // Minimum claiming rank won; claim order never influenced a charge.
-        page_home(page).store(page_claim(page).load(std::memory_order_relaxed),
-                              std::memory_order_relaxed);
-        page_claim(page).store(-1, std::memory_order_relaxed);
-      }
-      log.pages.clear();
+  for (auto& log : logs_) {
+    for (const std::size_t line : log.lines) {
+      const int w = epoch_writer_[line].load(std::memory_order_relaxed);
+      // Sole writer: +1, its predicted cached version survives.  Multiple
+      // writers: +2, every cached copy (including theirs) goes stale.
+      commit_ver_[line] += w == -2 ? 2U : 1U;
+      commit_writer_[line] = w;
+      epoch_writer_[line].store(-1, std::memory_order_relaxed);
     }
+    log.lines.clear();
+    for (const std::size_t page : log.pages) {
+      // Minimum claiming rank won; claim order never influenced a charge.
+      page_home_[page].store(page_claim_[page].load(std::memory_order_relaxed),
+                             std::memory_order_relaxed);
+      page_claim_[page].store(-1, std::memory_order_relaxed);
+    }
+    log.pages.clear();
   }
 }
 
@@ -285,13 +235,13 @@ void Team::wake_next_waiter() {
 }
 
 int Team::page_home_for(std::size_t page) {
-  const int home = world_.page_home(page).load(std::memory_order_relaxed);
+  const int home = world_.page_home_[page].load(std::memory_order_relaxed);
   if (home >= 0) return home;
   // Unhomed page: record a first-touch claim for this epoch.  The minimum
   // claiming rank wins at the barrier commit; until then every claimant
   // treats the page as its own (local, no premium), so no charge of the
   // claiming epoch depends on which claim landed first on the host.
-  auto& claim = world_.page_claim(page);
+  auto& claim = world_.page_claim_[page];
   int cur = claim.load(std::memory_order_relaxed);
   while (cur == -1 || cur > rank()) {
     if (claim.compare_exchange_weak(cur, rank(), std::memory_order_relaxed)) {
@@ -346,25 +296,14 @@ void Team::touch_read_ann(std::size_t off, std::size_t bytes, std::size_t elem,
   // change at barriers, and the wrote-line stamp is this PE's own — so the
   // walk reads no concurrently-mutated state and its outcome cannot depend
   // on host scheduling.
-  //
-  // The directory is sharded per home domain (contiguous line ranges, see
-  // DirShard): the hoisted base pointer is re-resolved only when the walk
-  // crosses a shard boundary, which block distribution makes rare.
   std::size_t cur_page = static_cast<std::size_t>(-1);
   int cur_home = 0;
-  const std::uint32_t* cver = nullptr;
-  std::size_t lbase = 0, lend = 0;
+  const std::uint32_t* cver = world_.commit_ver_.data();
   const auto* wrote = reinterpret_cast<const std::uint32_t*>(wrote_line_.data());
   const auto gen_tag = static_cast<std::uint32_t>(pe_.barrier_epochs() + 1);
   for (std::size_t line = first; line <= last; ++line) {
     const std::size_t set = sets_mask_ != 0 ? (line & sets_mask_) : (line % num_sets_);
-    if (line >= lend) {
-      const World::DirShard& sh = world_.shard_of_line(line);
-      cver = sh.commit_ver.get();
-      lbase = sh.line_begin;
-      lend = sh.line_end;
-    }
-    const std::uint32_t ver = cver[line - lbase];
+    const std::uint32_t ver = cver[line];
     // My own dirty copy of this epoch is valid even though the committed
     // version has not moved yet (release consistency: my writes become
     // visible to *others* at the barrier, but stay in *my* cache now).
@@ -417,8 +356,8 @@ void Team::touch_write_ann(std::size_t off, std::size_t bytes, std::size_t elem,
   std::uint64_t remote = 0;
   std::uint64_t transfers = 0;
   const bool tracing = pe_.tracing();
-  // Batched walk: see touch_read for the hoisting, shard-window,
-  // bit-identity and epoch-stability notes.  Every charge below is a
+  // Batched walk: see touch_read for the hoisting, bit-identity and
+  // epoch-stability notes.  Every charge below is a
   // function of committed (barrier-separated) state plus this PE's own
   // history; the epoch-writer cell is written but never read into a charge,
   // and its final per-epoch value (sole writer r, or -2 for several) is
@@ -426,24 +365,15 @@ void Team::touch_write_ann(std::size_t off, std::size_t bytes, std::size_t elem,
   std::size_t cur_page = static_cast<std::size_t>(-1);
   int cur_home = 0;
   const int me = rank();
-  const std::uint32_t* cver = nullptr;
-  const int* cwriter = nullptr;
-  std::atomic<int>* ew_arr = nullptr;
-  std::size_t lbase = 0, lend = 0;
+  const std::uint32_t* cver = world_.commit_ver_.data();
+  const int* cwriter = world_.commit_writer_.data();
+  std::atomic<int>* ew_arr = world_.epoch_writer_.get();
   auto* wrote = reinterpret_cast<std::uint32_t*>(wrote_line_.data());
   const auto gen_tag = static_cast<std::uint32_t>(pe_.barrier_epochs() + 1);
   auto& my_lines = world_.epoch_log(me).lines;
   for (std::size_t line = first; line <= last; ++line) {
     const std::size_t set = sets_mask_ != 0 ? (line & sets_mask_) : (line % num_sets_);
-    if (line >= lend) {
-      World::DirShard& sh = world_.shard_of_line(line);
-      cver = sh.commit_ver.get();
-      cwriter = sh.commit_writer.get();
-      ew_arr = sh.epoch_writer.get();
-      lbase = sh.line_begin;
-      lend = sh.line_end;
-    }
-    const std::uint32_t ver = cver[line - lbase];
+    const std::uint32_t ver = cver[line];
     const bool mine = wrote[line] == gen_tag;
     const bool hit = tag_[set] == line + 1 && (cached_version_[set] == ver || mine);
     if (!hit) {
@@ -462,7 +392,7 @@ void Team::touch_write_ann(std::size_t off, std::size_t bytes, std::size_t elem,
     }
     if (!mine) {
       // First write to this line in this epoch by this PE.
-      const int cw = cwriter[line - lbase];
+      const int cw = cwriter[line];
       if (cw != me && cw != -1) {
         // Committed last writer is elsewhere (-2 = shared-dirty): ownership
         // transfer / invalidation premium, charged once per epoch.
@@ -470,7 +400,7 @@ void Team::touch_write_ann(std::size_t off, std::size_t bytes, std::size_t elem,
         ++transfers;
       }
       wrote[line] = gen_tag;
-      std::atomic<int>& ew_cell = ew_arr[line - lbase];
+      std::atomic<int>& ew_cell = ew_arr[line];
       int ew = ew_cell.load(std::memory_order_relaxed);
       if (ew == -1 && ew_cell.compare_exchange_strong(ew, me, std::memory_order_relaxed)) {
         my_lines.push_back(line);  // the -1 -> me claimant owns the commit entry

@@ -45,7 +45,6 @@
 #pragma once
 
 #include <atomic>
-#include <cstdlib>
 #include <cstring>
 #include <limits>
 #include <memory>
@@ -136,9 +135,6 @@ class World {
   // coherence metadata + the used arena prefix, digested deterministically.
   static void state_capture(void* world, rt::StateSink& sink);
 
-  struct FreeDeleter {
-    void operator()(void* p) const noexcept { std::free(p); }
-  };
   const origin::MachineParams& params_;
   int nprocs_;
   Placement placement_;
@@ -165,81 +161,23 @@ class World {
     std::int64_t i;
   };
 
-  // ---- per-home-domain directory shards ---------------------------------
-  // The directory (page table + per-line coherence metadata) and the per-PE
-  // scratch (epoch logs, reduction slots) live in per-domain allocations:
-  // a contiguous block of pages — and the contiguous line range they cover
-  // — per synchronization domain, each array 64-byte aligned so the shard a
-  // domain's worker hammers never false-shares with its neighbours'.  This
-  // is host memory *layout* only: indices stay global, every value and
-  // every charge is identical to the former flat arrays, and the shard
-  // count is a construction-time block approximation of the run's worker
-  // count.
-  //
-  // Semantics of the cells are unchanged from the flat layout: committed
-  // home / version / writer mutate only in serial context or at barrier
-  // commit; `page_claim` and `epoch_writer` are the only concurrently-
-  // mutated cells (-1 none, rank r, -2 multiple writers for lines; minimum
-  // claiming rank wins for pages) and their per-epoch outcome is
-  // order-independent.
-  struct DirShard {
-    std::size_t page_begin = 0, page_end = 0;  ///< [begin, end) global pages
-    std::size_t line_begin = 0, line_end = 0;  ///< [begin, end) global lines
-    int rank_begin = 0, rank_end = 0;          ///< [begin, end) global ranks
-    std::unique_ptr<std::atomic<int>[], FreeDeleter> page_home;
-    std::unique_ptr<std::atomic<int>[], FreeDeleter> page_claim;
-    std::unique_ptr<std::uint32_t[], FreeDeleter> commit_ver;
-    std::unique_ptr<int[], FreeDeleter> commit_writer;
-    std::unique_ptr<std::atomic<int>[], FreeDeleter> epoch_writer;
-    std::vector<EpochLog> logs;  ///< one per rank in [rank_begin, rank_end)
-    std::vector<RedSlot> red;    ///< likewise
-  };
-  std::vector<DirShard> dir_;
-  int dir_domains_ = 1;
-  std::size_t dir_chunk_pages_ = 1;  ///< pages per shard (last may be short)
+  // ---- directory -----------------------------------------------------------
+  // The page table and per-line coherence metadata, indexed by global page
+  // and line.  Committed home / version / writer mutate only in serial
+  // context or at barrier commit; `page_claim_` and `epoch_writer_` are the
+  // only concurrently-mutated cells (-1 none, rank r, -2 multiple writers
+  // for lines; minimum claiming rank wins for pages) and their per-epoch
+  // outcome is order-independent.
+  std::unique_ptr<std::atomic<int>[]> page_home_;
+  std::unique_ptr<std::atomic<int>[]> page_claim_;
+  std::vector<std::uint32_t> commit_ver_;
+  std::vector<int> commit_writer_;
+  std::unique_ptr<std::atomic<int>[]> epoch_writer_;
+  std::vector<EpochLog> logs_;  ///< [rank]
+  std::vector<RedSlot> red_;    ///< [rank]
 
-  [[nodiscard]] DirShard& shard_of_page(std::size_t p) { return dir_[p / dir_chunk_pages_]; }
-  [[nodiscard]] std::size_t page_of_line(std::size_t l) const {
-    return l * static_cast<std::size_t>(params_.cache_line_bytes) /
-           static_cast<std::size_t>(params_.page_bytes);
-  }
-  [[nodiscard]] DirShard& shard_of_line(std::size_t l) { return shard_of_page(page_of_line(l)); }
-  [[nodiscard]] DirShard& shard_of_rank(int r) {
-    return dir_[static_cast<std::size_t>(r) * static_cast<std::size_t>(dir_domains_) /
-                static_cast<std::size_t>(nprocs_)];
-  }
-  [[nodiscard]] std::atomic<int>& page_home(std::size_t p) {
-    DirShard& s = shard_of_page(p);
-    return s.page_home[p - s.page_begin];
-  }
-  [[nodiscard]] std::atomic<int>& page_claim(std::size_t p) {
-    DirShard& s = shard_of_page(p);
-    return s.page_claim[p - s.page_begin];
-  }
-  [[nodiscard]] std::uint32_t& line_ver(std::size_t l) {
-    DirShard& s = shard_of_line(l);
-    return s.commit_ver[l - s.line_begin];
-  }
-  [[nodiscard]] int& line_writer(std::size_t l) {
-    DirShard& s = shard_of_line(l);
-    return s.commit_writer[l - s.line_begin];
-  }
-  [[nodiscard]] std::atomic<int>& line_epoch(std::size_t l) {
-    DirShard& s = shard_of_line(l);
-    return s.epoch_writer[l - s.line_begin];
-  }
-  [[nodiscard]] EpochLog& epoch_log(int r) {
-    DirShard& s = shard_of_rank(r);
-    return s.logs[static_cast<std::size_t>(r - s.rank_begin)];
-  }
-  [[nodiscard]] RedSlot& red(int r) {
-    DirShard& s = shard_of_rank(r);
-    return s.red[static_cast<std::size_t>(r - s.rank_begin)];
-  }
-
-  /// 64-byte-aligned, value-initialised array for a shard segment.
-  template <typename T>
-  static std::unique_ptr<T[], FreeDeleter> alloc_shard_array(std::size_t n);
+  [[nodiscard]] EpochLog& epoch_log(int r) { return logs_[static_cast<std::size_t>(r)]; }
+  [[nodiscard]] RedSlot& red(int r) { return red_[static_cast<std::size_t>(r)]; }
 
   void commit_epoch();
   static void commit_epoch_hook(void* world);

@@ -91,10 +91,9 @@ class World {
   /// node — must not contend on one host lock.  A given cell always lives
   /// on one node and therefore always maps to the same shard, preserving
   /// the per-cell RMW serialisation the sanitizer hooks rely on.  Each
-  /// shard sits on its own cache line (same homed-shard scheme as the SAS
-  /// directory): neighbouring nodes usually live in different
-  /// synchronization domains, so adjacent locks are hammered by different
-  /// host workers and must not false-share.
+  /// shard sits on its own cache line: neighbouring nodes usually live in
+  /// different synchronization domains, so adjacent locks are hammered by
+  /// different host workers and must not false-share.
   static constexpr std::size_t kAtomicShards = 64;
   struct alignas(64) AtomicShard {
     std::mutex mu;

@@ -1,11 +1,17 @@
 // Unit tests for the application-internal building blocks: LocalMesh (the
-// rank-local mesh with geometric identity), the SAS shared edge table, and
-// the new MP gatherv/scatterv + SHMEM signal/wait primitives.
+// rank-local mesh with geometric identity), the SAS shared edge table, the
+// memoised replicated setup, and the new MP gatherv/scatterv + SHMEM
+// signal/wait primitives.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <memory>
+#include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "apps/mesh_detail.hpp"
+#include "apps/replicated.hpp"
 #include "apps/sas_table.hpp"
 #include "mp/comm.hpp"
 #include "shmem/shmem.hpp"
@@ -239,6 +245,55 @@ TEST_P(MpGatherScatterP, ScattervDistributesFromRoot) {
 }
 
 INSTANTIATE_TEST_SUITE_P(ProcCounts, MpGatherScatterP, ::testing::Values(1, 2, 4, 8, 16));
+
+// ---- Replicated<T> ---------------------------------------------------------
+
+// Every PE asks for the same two keys: each key's function runs once, and
+// every PE gets the one shared object.
+TEST(Replicated, ComputesOnceAndSharesOnePointer) {
+  constexpr int kP = 8;
+  apps::detail::Replicated<std::vector<int>> cache;
+  std::atomic<int> calls{0};
+  std::vector<const std::vector<int>*> got(2 * kP, nullptr);
+  rt::Machine m;
+  m.run(kP, [&](rt::Pe& pe) {
+    for (std::uint64_t key = 0; key < 2; ++key) {
+      const auto v = cache.get(pe, key, [&] {
+        calls.fetch_add(1);
+        return std::vector<int>(4, static_cast<int>(key));
+      });
+      EXPECT_EQ((*v)[0], static_cast<int>(key));
+      got[static_cast<std::size_t>(2 * pe.rank()) + key] = v.get();
+    }
+  });
+  EXPECT_EQ(calls.load(), 2);
+  for (int r = 0; r < kP; ++r) {
+    EXPECT_EQ(got[static_cast<std::size_t>(2 * r)], got[0]) << "rank " << r;
+    EXPECT_EQ(got[static_cast<std::size_t>(2 * r + 1)], got[1]) << "rank " << r;
+  }
+  EXPECT_NE(got[0], got[1]);
+}
+
+// The PE that computes a key throws: the run must abort and rethrow that
+// error, and the PEs waiting for the key must unwind instead of waiting for
+// a value that never comes.  Shared queue and pinned domains alike.
+TEST(Replicated, ThrowingComputeAbortsRunInsteadOfHanging) {
+  constexpr int kP = 4;
+  for (const int workers : {1, 2}) {
+    SCOPED_TRACE("workers=" + std::to_string(workers));
+    rt::Machine m;
+    m.set_workers(workers);
+    apps::detail::Replicated<int> cache;
+    try {
+      m.run(kP, [&](rt::Pe& pe) {
+        (void)cache.get(pe, 0, []() -> int { throw std::runtime_error("setup failed"); });
+      });
+      ADD_FAILURE() << "the run returned although its setup threw";
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "setup failed");
+    }
+  }
+}
 
 TEST(ShmemSignalTest, WaitObservesValueAndArrivalTime) {
   shmem::World w(machine().params(), 4);

@@ -3,6 +3,7 @@
 // expansion (warm grouping), and the hardened O2K_EXEC_* env parsing.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
@@ -17,7 +18,10 @@
 #include "campaign/campaign.hpp"
 #include "campaign/snapshot.hpp"
 #include "exec/engine.hpp"
+#include "mp/comm.hpp"
 #include "rt/machine.hpp"
+#include "rt/state_capture.hpp"
+#include "sas/sas.hpp"
 
 namespace o2k {
 namespace {
@@ -209,6 +213,100 @@ TEST(Snapshot, WriteFailsIfMarkerNeverFires) {
   run_small("nbody", apps::Model::kSas, m, 2);
   EXPECT_THROW(cp.finish(), campaign::SnapshotError);
   EXPECT_FALSE(fs::exists(path));
+}
+
+// ---- pinned model-world digests ------------------------------------------
+//
+// A snapshot restores only if the replay captures the same state lines, so
+// the model worlds' digests must not change when their host-side storage
+// does.  These constants were recorded before the MP mailboxes and the
+// CC-SAS directory changed representation; snapshot files written then must
+// keep restoring.
+
+/// Arm `m` to capture the machine state at the first Pe::checkpoint("pin").
+void arm_pin_capture(rt::Machine& m, std::vector<std::string>& lines) {
+  m.arm_checkpoint("pin", 1, [&lines](rt::Machine& mm, rt::Pe&) {
+    rt::StateSink sink;
+    campaign::capture_state(mm, sink);
+    lines = sink.lines();
+  });
+}
+
+/// Value of the captured line "<key> u64 <value>".
+std::uint64_t captured_u64(const std::vector<std::string>& lines, const std::string& key) {
+  const std::string head = key + " u64 ";
+  for (const std::string& line : lines) {
+    if (line.rfind(head, 0) == 0) return std::stoull(line.substr(head.size()));
+  }
+  ADD_FAILURE() << "no captured line for " << key;
+  return 0;
+}
+
+// Rank 0 leaves three isends for rank 1 that rank 1 receives only after the
+// marker; its receive of a later message before the marker has already
+// drained them into its matching queue.  Rank 2's two isends to rank 3 are
+// still in flight, untouched by any receive.
+TEST(SnapshotDigests, QueuedMpMessagesKeepTheirDigests) {
+  for (const int workers : {1, 2}) {
+    SCOPED_TRACE("workers=" + std::to_string(workers));
+    rt::Machine m;
+    m.set_workers(workers);
+    mp::World w(m.params(), 4);
+    std::vector<std::string> lines;
+    arm_pin_capture(m, lines);
+    m.run(4, [&w](rt::Pe& pe) {
+      mp::Comm comm(w, pe);
+      const int me = pe.rank();
+      if (me == 0 || me == 2) {
+        pe.advance(100.0 * (me + 1));
+        for (int i = 0; i < (me == 0 ? 3 : 2); ++i) {
+          const std::vector<double> v(static_cast<std::size_t>(4 + i), 0.5 * (i + me));
+          (void)comm.isend(std::span<const double>(v), me + 1, 10 + i);
+        }
+      }
+      if (me == 0) comm.send_value<int>(7, 1, /*tag=*/9);
+      if (me == 1) EXPECT_EQ(comm.recv_value<int>(0, 9), 7);
+      pe.checkpoint("pin");
+      if (me == 1 || me == 3) {
+        for (int i = 0; i < (me == 1 ? 3 : 2); ++i) (void)comm.recv_vec<double>(me - 1, 10 + i);
+      }
+    });
+    ASSERT_TRUE(m.checkpoint_fired());
+    EXPECT_EQ(captured_u64(lines, "mp.box.0.depth"), 0u);
+    EXPECT_EQ(captured_u64(lines, "mp.box.1.depth"), 3u);
+    EXPECT_EQ(captured_u64(lines, "mp.box.1.digest"), 11753509308645055807ULL);
+    EXPECT_EQ(captured_u64(lines, "mp.box.3.depth"), 2u);
+    EXPECT_EQ(captured_u64(lines, "mp.box.3.digest"), 8634379261962564847ULL);
+  }
+}
+
+// One CC-SAS epoch: first-touch homes split two pages between ranks 0 and
+// 2, every rank writes line 0 (several writers), and each rank then reads
+// its neighbour's block.
+TEST(SnapshotDigests, CommittedSasDirectoryKeepsItsDigests) {
+  for (const int workers : {1, 2}) {
+    SCOPED_TRACE("workers=" + std::to_string(workers));
+    rt::Machine m;
+    m.set_workers(workers);
+    sas::World w(m.params(), 4, std::size_t{1} << 20);
+    const auto a = w.alloc<double>(4096, "pinned");
+    std::vector<std::string> lines;
+    arm_pin_capture(m, lines);
+    m.run(4, [&w, &a](rt::Pe& pe) {
+      sas::Team team(w, pe);
+      const auto me = static_cast<std::size_t>(pe.rank());
+      team.touch_write_range(a, me * 1024, 1024);
+      team.write(a, me, 1.0 + static_cast<double>(me));
+      team.barrier();
+      team.touch_read_range(a, ((me + 1) % 4) * 1024, 1024);
+      team.barrier();
+      pe.checkpoint("pin");
+    });
+    ASSERT_TRUE(m.checkpoint_fired());
+    EXPECT_EQ(captured_u64(lines, "sas.page_home.digest"), 15569614537455996815ULL);
+    EXPECT_EQ(captured_u64(lines, "sas.line_ver.digest"), 16759083403017480998ULL);
+    EXPECT_EQ(captured_u64(lines, "sas.line_writer.digest"), 16728696928523340480ULL);
+  }
 }
 
 // ---- spec parsing and expansion ----------------------------------------

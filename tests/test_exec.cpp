@@ -1,14 +1,17 @@
 // Tests for exec::FiberEngine driven directly, without rt::Machine: the
-// order in which a pinned worker runs the fibers its own fibers wake.
+// order in which a pinned worker runs the fibers its own fibers wake.  Also
+// exec::MpscQueue, the queue behind every MP mailbox.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "exec/engine.hpp"
+#include "exec/spsc.hpp"
 
 namespace o2k::exec {
 namespace {
@@ -164,6 +167,52 @@ TEST(FiberEnginePinned, RelayAcrossWorkersCompletes) {
     EXPECT_EQ(finished.load(), kP) << "run " << run;
     EXPECT_EQ(eng.workers(), 2);
   }
+}
+
+// Four host threads push (producer, seq) pairs while this thread pops:
+// every item arrives exactly once and each producer's items in push order.
+// The consumer stops short of the end; for_each then walks the rest at
+// quiescence, and the destructor frees those nodes (the ASan leak check).
+TEST(MpscQueue, ManyProducersKeepEachProducersOrder) {
+  constexpr int kProducers = 4;
+  constexpr int kItems = 20000;
+  constexpr int kLeft = 1000;  // left unconsumed for for_each
+  struct Item {
+    int producer = -1;
+    int seq = -1;
+  };
+  MpscQueue<Item> q;
+  std::vector<std::thread> producers;
+  for (int p = 0; p < kProducers; ++p) {
+    producers.emplace_back([&q, p] {
+      for (int i = 0; i < kItems; ++i) q.push(Item{p, i});
+    });
+  }
+  std::vector<int> next(kProducers, 0);
+  int out_of_order = 0;
+  const auto take = [&](const Item& it) {
+    int& n = next[static_cast<std::size_t>(it.producer)];
+    if (it.seq != n) ++out_of_order;
+    n = it.seq + 1;
+  };
+  Item it;
+  for (int got = 0; got < kProducers * kItems - kLeft;) {
+    if (!q.pop(it)) {
+      std::this_thread::yield();
+      continue;
+    }
+    take(it);
+    ++got;
+  }
+  for (auto& t : producers) t.join();
+  int walked = 0;
+  q.for_each([&](const Item& rest) {
+    take(rest);
+    ++walked;
+  });
+  EXPECT_EQ(out_of_order, 0);
+  EXPECT_EQ(walked, kLeft);
+  for (int p = 0; p < kProducers; ++p) EXPECT_EQ(next[static_cast<std::size_t>(p)], kItems);
 }
 
 }  // namespace

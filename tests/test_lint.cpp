@@ -68,8 +68,11 @@ TEST(LintNondeterminism, NegativeFixtureQuiet) {
 TEST(LintFiberBlocking, PositiveFixtureFires) {
   const auto r = run_lint("--check=o2k-fiber-blocking " + fixture("fiber_pos.cpp"));
   EXPECT_EQ(r.exit_code, 1) << r.output;
-  EXPECT_GE(count_occurrences(r.output, "[o2k-fiber-blocking]"), 5u) << r.output;
+  EXPECT_GE(count_occurrences(r.output, "[o2k-fiber-blocking]"), 6u) << r.output;
   EXPECT_NE(r.output.find("thread_local"), std::string::npos) << r.output;
+  EXPECT_NE(r.output.find("a host condvar wait blocks every PE on the worker"),
+            std::string::npos)
+      << r.output;
   EXPECT_NE(r.output.find("Pe::park_until reached while lock guard 'lk'"), std::string::npos)
       << r.output;
   EXPECT_NE(r.output.find("Pe::hand_off reached while lock guard 'lk'"), std::string::npos)

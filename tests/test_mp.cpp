@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdlib>
+#include <functional>
 #include <numeric>
 #include <random>
 #include <string>
@@ -46,16 +48,74 @@ TEST(MpP2P, TagMatchingSelectsCorrectMessage) {
   });
 }
 
-TEST(MpP2P, FifoPerSourceAndTag) {
-  World w(machine().params(), 2);
-  machine().run(2, [&](rt::Pe& pe) {
+/// Rank 0 sends kSends values on tags 5 and 6 to rank 1, and before each
+/// pair parks for a token from rank 2, so consecutive same-tag sends may
+/// leave from different host threads.  Rank 3 sends on tag 5 too.  Rank 1
+/// drains tag 6 first, so the tag-5 messages pile up, then checks both
+/// sources' tag-5 streams in order.
+std::function<void(rt::Pe&)> parked_sender_body(World& w) {
+  constexpr int kSends = 200;
+  return [&w](rt::Pe& pe) {
     Comm comm(w, pe);
-    if (pe.rank() == 0) {
-      for (int i = 0; i < 10; ++i) comm.send_value<int>(i, 1, 5);
-    } else {
-      for (int i = 0; i < 10; ++i) EXPECT_EQ(comm.recv_value<int>(0, 5), i);
+    switch (pe.rank()) {
+      case 0:
+        for (int i = 0; i < kSends; ++i) {
+          comm.send_value<int>(i, 2, /*tag=*/1);
+          (void)comm.recv_value<int>(2, /*tag=*/2);
+          comm.send_value<int>(i, 1, 5);
+          comm.send_value<int>(-i, 1, 6);
+        }
+        break;
+      case 1:
+        for (int i = 0; i < kSends; ++i) EXPECT_EQ(comm.recv_value<int>(0, 6), -i);
+        for (int i = 0; i < kSends; ++i) EXPECT_EQ(comm.recv_value<int>(0, 5), i);
+        for (int i = 0; i < kSends; ++i) EXPECT_EQ(comm.recv_value<int>(3, 5), 1000 + i);
+        break;
+      case 2:
+        for (int i = 0; i < kSends; ++i) {
+          comm.send_value<int>(comm.recv_value<int>(0, 1), 0, /*tag=*/2);
+        }
+        break;
+      default:
+        for (int i = 0; i < kSends; ++i) comm.send_value<int>(1000 + i, 1, 5);
+        break;
     }
-  });
+  };
+}
+
+TEST(MpP2P, FifoPerSourceAndTag) {
+  {
+    World w(machine().params(), 2);
+    machine().run(2, [&](rt::Pe& pe) {
+      Comm comm(w, pe);
+      if (pe.rank() == 0) {
+        for (int i = 0; i < 10; ++i) comm.send_value<int>(i, 1, 5);
+      } else {
+        for (int i = 0; i < 10; ++i) EXPECT_EQ(comm.recv_value<int>(0, 5), i);
+      }
+    });
+  }
+  // The sender parks between same-tag sends: on the shared queue over four
+  // host threads it may resume on any of them, and on two pinned domains
+  // behind the other fibers of its worker.
+  const char* env = std::getenv("O2K_EXEC_WORKERS");
+  const std::string saved = env != nullptr ? env : "";
+  ASSERT_EQ(::setenv("O2K_EXEC_WORKERS", "4", /*overwrite=*/1), 0);
+  rt::Machine shared;
+  shared.set_workers(1);
+  World w1(shared.params(), 4);
+  const auto r1 = shared.run(4, parked_sender_body(w1));
+  if (env != nullptr) {
+    ::setenv("O2K_EXEC_WORKERS", saved.c_str(), /*overwrite=*/1);
+  } else {
+    ::unsetenv("O2K_EXEC_WORKERS");
+  }
+  rt::Machine pinned;
+  pinned.set_workers(2);
+  World w2(pinned.params(), 4);
+  const auto r2 = pinned.run(4, parked_sender_body(w2));
+  EXPECT_EQ(pinned.workers(), 2);
+  EXPECT_EQ(r1.pe_ns, r2.pe_ns);
 }
 
 TEST(MpP2P, AnyTagReceivesFirstAvailable) {

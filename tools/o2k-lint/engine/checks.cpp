@@ -297,6 +297,8 @@ void check_fiber_blocking(const SourceFile& f, const Registry&, std::vector<Find
        "blocking syscall on a fiber-executed path stalls every PE on the worker"},
       {"cin", "std::", false,
        "blocking stream read on a fiber-executed path stalls every PE on the worker"},
+      {"condition_variable", "std::", false,
+       "a host condvar wait blocks every PE on the worker; park on Pe::park_until"},
   };
   scan_banned(f, kCheck, kBanned, std::size(kBanned), out);
 

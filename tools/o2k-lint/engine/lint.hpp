@@ -11,8 +11,9 @@
 //   o2k-nondeterminism  wall clocks, rand/random_device, pointer-keyed
 //                       ordered containers, and iteration over unordered
 //                       containers on simulated paths
-//   o2k-fiber-blocking  blocking syscalls, thread_local, and locks held
-//                       across Pe::park_until on fiber-executed paths
+//   o2k-fiber-blocking  blocking syscalls, host condvars, thread_local, and
+//                       locks held across Pe::park_until on fiber-executed
+//                       paths
 //   o2k-fork-unsafe     thread creation, unflushed buffered writes before
 //                       fork, exit-after-fork, and calls to O2K_FORK_UNSAFE
 //                       functions inside Machine::arm_checkpoint callbacks

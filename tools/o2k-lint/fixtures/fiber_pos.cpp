@@ -1,5 +1,6 @@
 // o2k-fiber-blocking positive fixture: every construct below must fire.
 #include <chrono>
+#include <condition_variable>
 #include <mutex>
 #include <thread>
 
@@ -12,6 +13,7 @@ struct Pe {
 };
 
 std::mutex mu;
+std::condition_variable cv;               // finding: a condvar wait blocks the worker
 thread_local int per_worker_scratch = 0;  // finding: fibers migrate workers
 
 void blocking_waits() {
